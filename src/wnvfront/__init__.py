@@ -20,7 +20,6 @@ from .solver import (
 from .lyapunov import (
     EstimatorConfig,
     LyapunovEstimate,
-    lambda_of_t,
     lambda_sweep,
     lyapunov_constant_oracle,
     lyapunov_exponent,
@@ -33,7 +32,6 @@ from .thresholds import (
     MuStarConfig,
     NotConvergedError,
     classify,
-    dichotomy_check,
     find_L_star,
     find_mu_star,
 )

@@ -14,20 +14,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, render_config
+from .config import RunConfig, load_config, render_config
 from .lyapunov import lambda_sweep, lyapunov_exponent
-from .model import default_paper_spec
-from .output import (
-    svg_line_chart,
-    write_csv,
-    write_plots,
-    write_sweep_plot,
-    write_trajectory_csv,
-)
+from .model import InitialData
+from .output import write_csv, write_plots, write_sweep_plot, write_trajectory_csv
+from .reproduce import CASES, MU_STAR_H0, halfwidth_bracket
 from .solver import simulate
 from .thresholds import (
     BadBracketError,
-    ClassifyConfig,
     LStarConfig,
     MuStarConfig,
     NotConvergedError,
@@ -37,7 +31,6 @@ from .thresholds import (
     transcript_monotone,
 )
 from .verify import comparison_suite, manufactured_convergence, observed_orders
-from .model import InitialData
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,25 +81,21 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _override(section, **values):
+    """The section with every value that is not None put in."""
+    return replace(section, **{k: v for k, v in values.items() if v is not None})
+
+
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    model = cfg.model
-    if getattr(args, "h0", None) is not None:
-        model = replace(model, h0=args.h0)
-    if getattr(args, "mu", None) is not None:
-        model = replace(model, mu=args.mu)
-    cfg = replace(cfg, model=model)
-    solver = cfg.solver
-    if getattr(args, "t_end", None) is not None:
-        solver = replace(solver, t_end=args.t_end)
-    if getattr(args, "grid", None) is not None:
-        solver = replace(solver, J=args.grid)
-    cfg = replace(cfg, solver=solver)
-    if args.out is not None:
-        cfg = replace(cfg, run=replace(cfg.run, out=args.out))
-    elif os.environ.get("WNV_OUT"):
-        cfg = replace(cfg, run=replace(cfg.run, out=os.environ["WNV_OUT"]))
-    return cfg
+    return replace(
+        cfg,
+        model=_override(cfg.model, h0=getattr(args, "h0", None), mu=getattr(args, "mu", None)),
+        solver=_override(cfg.solver, t_end=getattr(args, "t_end", None),
+                         J=getattr(args, "grid", None)),
+        run=_override(cfg.run, out=args.out if args.out is not None
+                      else os.environ.get("WNV_OUT") or None),
+    )
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -115,23 +104,20 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _default_output_times(solver) -> tuple:
-    if solver.output_times:
-        return solver.output_times
-    return tuple(np.linspace(0.0, solver.t_end, 7))
+def _solver_config(cfg: RunConfig):
+    """The [solver] section, with seven evenly spaced snapshots when none are listed."""
+    if cfg.solver.output_times:
+        return cfg.solver
+    return replace(cfg.solver, output_times=tuple(np.linspace(0.0, cfg.solver.t_end, 7)))
 
 
 def _simulate(cfg: RunConfig):
-    spec = cfg.model_spec()
-    init = cfg.initial_data()
-    scfg = cfg.solver_config()
-    scfg = replace(scfg, output_times=_default_output_times(scfg))
-    return spec, simulate(spec, init, scfg)
+    return simulate(cfg.model_spec(), cfg.initial_data(), _solver_config(cfg))
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    spec, traj = _simulate(cfg)
+    traj = _simulate(cfg)
     write_trajectory_csv(traj, out)
     write_plots(traj, out)
     (out / "config_used.cfg").write_text(render_config(cfg), encoding="utf-8", newline="\n")
@@ -143,7 +129,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_lyapunov(cfg: RunConfig, half_width: Optional[float]) -> int:
     spec = cfg.model_spec()
     L = half_width if half_width is not None else spec.h0
-    est = lyapunov_exponent(spec.linearization(), L, (spec.D1, spec.D2), cfg.estimator_config())
+    est = lyapunov_exponent(spec.linearization(), L, (spec.D1, spec.D2), cfg.lyapunov)
     print(f"lambda={est.lam:.6f} L={L:g} ci=({est.tail_slope_ci[0]:.6f},"
           f"{est.tail_slope_ci[1]:.6f}) converged={est.converged}")
     return EXIT_OK
@@ -157,7 +143,7 @@ def cmd_sweep(cfg: RunConfig, l_list: Optional[str]) -> int:
         Ls = list(cfg.run.L_list)
     else:
         Ls = list(np.linspace(0.4, 3.0, 10))
-    result = lambda_sweep(spec.linearization(), (spec.D1, spec.D2), Ls, cfg.estimator_config())
+    result = lambda_sweep(spec.linearization(), (spec.D1, spec.D2), Ls, cfg.lyapunov)
     out = _outdir(cfg)
     write_csv(
         out / "lambda_sweep.csv",
@@ -172,49 +158,45 @@ def cmd_sweep(cfg: RunConfig, l_list: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _lstar_config(cfg: RunConfig) -> LStarConfig:
-    return LStarConfig(estimator=cfg.search_estimator_config(), shifts=cfg.run.shifts)
-
-
-def cmd_find_lstar(cfg: RunConfig) -> int:
+def _find_lstar(cfg: RunConfig):
+    """find_L_star on the [run] bracket and shifts with the search estimator."""
     spec = cfg.model_spec()
-    L_star, iters = find_L_star(
-        spec.linearization(), (spec.D1, spec.D2), (cfg.run.L_lo, cfg.run.L_hi), _lstar_config(cfg)
-    )
-    print(f"L_star={L_star:.4f} iterations={iters}")
-    return EXIT_OK
+    lcfg = LStarConfig(estimator=cfg.search_estimator_config(), shifts=cfg.run.shifts)
+    return find_L_star(spec.linearization(), (spec.D1, spec.D2), (cfg.run.L_lo, cfg.run.L_hi), lcfg)
 
 
-def _resolve_lstar(cfg: RunConfig, given: Optional[float]) -> float:
-    if given is not None:
-        return given
-    spec = cfg.model_spec()
-    L_star, _ = find_L_star(
-        spec.linearization(), (spec.D1, spec.D2), (cfg.run.L_lo, cfg.run.L_hi), _lstar_config(cfg)
-    )
-    return L_star
-
-
-def cmd_find_mustar(cfg: RunConfig, l_star: Optional[float]) -> int:
-    L_star = _resolve_lstar(cfg, l_star)
-    spec = cfg.model_spec()
-    mcfg = MuStarConfig(solver=cfg.solver_config(), L_star=L_star)
-    mu_star, iters, transcript = find_mu_star(
-        spec, cfg.initial_data(), (cfg.run.mu_lo, cfg.run.mu_hi), mcfg
-    )
-    out = _outdir(cfg)
+def _write_transcript(out: Path, transcript) -> None:
     write_csv(
         out / "mustar_transcript.csv",
         ["mu", "spreading", "t_end"],
         [(r.mu, 1.0 if r.verdict == "Spreading" else 0.0, r.t_end) for r in transcript],
     )
+
+
+def cmd_find_lstar(cfg: RunConfig) -> int:
+    L_star, iters = _find_lstar(cfg)
+    print(f"L_star={L_star:.4f} iterations={iters}")
+    return EXIT_OK
+
+
+def _resolve_lstar(cfg: RunConfig, given: Optional[float]) -> float:
+    return given if given is not None else _find_lstar(cfg)[0]
+
+
+def cmd_find_mustar(cfg: RunConfig, l_star: Optional[float]) -> int:
+    L_star = _resolve_lstar(cfg, l_star)
+    mcfg = MuStarConfig(solver=cfg.solver, L_star=L_star)
+    mu_star, iters, transcript = find_mu_star(
+        cfg.model_spec(), cfg.initial_data(), (cfg.run.mu_lo, cfg.run.mu_hi), mcfg
+    )
+    _write_transcript(_outdir(cfg), transcript)
     print(f"mu_star={mu_star:.4f} iterations={iters} monotone={transcript_monotone(transcript)}")
     return EXIT_OK
 
 
 def cmd_classify(cfg: RunConfig, l_star: Optional[float]) -> int:
     L_star = _resolve_lstar(cfg, l_star)
-    spec, traj = _simulate(cfg)
+    traj = _simulate(cfg)
     if traj.status != "completed":
         print(f"numerical failure: status={traj.status}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -243,8 +225,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     tp = observed_orders(rows, "temporal")
     ok = all(1.9 <= o <= 2.2 for o in sp[-1:]) and all(0.9 <= o <= 1.1 for o in tp[-1:])
 
-    spec = default_paper_spec(mu=cfg.model.mu, h0=max(cfg.model.h0, 1.0))
-    scfg = replace(cfg.solver_config(), t_end=10.0, dt0=0.02, dt_min=0.02, dt_max=0.02,
+    spec = cfg.model.with_h0(max(cfg.model.h0, 1.0))
+    scfg = replace(cfg.solver, t_end=10.0, dt0=0.02, dt_min=0.02, dt_max=0.02,
                    J=200, output_times=(5.0, 10.0))
     base = InitialData(amp_U=0.08, amp_V=1.5)
     upper = InitialData(amp_U=0.12, amp_V=2.25)
@@ -255,29 +237,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-# (h0, mu) -> expected verdict; h0=0.6 spreads only above mu* (about 0.87)
-_PAPER_CASES = {
-    (2.0, 0.1): "Spreading",
-    (1.0, 0.1): "Spreading",
-    (0.6, 0.1): "Vanishing",
-    (0.5, 0.1): "Vanishing",
-    (0.6, 0.2): "Vanishing",
-    (0.6, 1.0): "Spreading",
-}
-
-
 def cmd_reproduce_paper(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    scfg = cfg.solver_config()
-    scfg = replace(scfg, output_times=_default_output_times(scfg))
+    scfg = _solver_config(cfg)
 
     base_spec = cfg.model_spec()
     print("estimating exponent-based critical half-width ...")
     try:
-        L_star, _ = find_L_star(
-            base_spec.linearization(), (base_spec.D1, base_spec.D2),
-            (cfg.run.L_lo, cfg.run.L_hi), _lstar_config(cfg),
-        )
+        L_star, _ = _find_lstar(cfg)
     except (BadBracketError, NotConvergedError) as e:
         print(f"numerical failure in L* search: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -285,7 +252,7 @@ def cmd_reproduce_paper(cfg: RunConfig) -> int:
 
     verdicts = {}
     rows = []
-    for h0, mu in _PAPER_CASES:
+    for h0, mu in CASES:
         spec = base_spec.with_h0(h0).with_mu(mu)
         traj = simulate(spec, cfg.initial_data(), scfg)
         if traj.status != "completed":
@@ -299,29 +266,21 @@ def cmd_reproduce_paper(cfg: RunConfig) -> int:
               f"width={cls.evidence['final_width']:.3f} supU={cls.evidence['final_sup_U']:.2e}")
     write_csv(out / "verdicts.csv", ["h0", "mu", "spreading", "final_width", "final_supU"], rows)
 
-    # half-width threshold bracket from the mu=0.1 sweep over h0
-    mu_ref = 0.1
-    van = [h0 for (h0, mu), v in verdicts.items() if mu == mu_ref and v == "Vanishing"]
-    spr = [h0 for (h0, mu), v in verdicts.items() if mu == mu_ref and v == "Spreading"]
-    bracket_ok = bool(van) and bool(spr) and max(van) < min(spr)
-    L_bracket = (max(van), min(spr)) if bracket_ok else (float("nan"), float("nan"))
+    L_bracket = halfwidth_bracket(verdicts)
+    bracket_ok = not np.isnan(L_bracket[0])
     print(f"  half-width threshold bracket from verdicts: ({L_bracket[0]:g}, {L_bracket[1]:g})")
 
-    # expansion-rate threshold at h0 = 0.6
-    spec06 = base_spec.with_h0(0.6)
     mcfg = MuStarConfig(solver=scfg, L_star=L_star)
     mu_bracket = (cfg.run.mu_lo, cfg.run.mu_hi)
     mu_star = float("nan")
     monotone = True
     mu_bracket_ok = True
     try:
-        mu_star, _, transcript = find_mu_star(spec06, cfg.initial_data(), mu_bracket, mcfg)
-        monotone = transcript_monotone(transcript)
-        write_csv(
-            out / "mustar_transcript.csv",
-            ["mu", "spreading", "t_end"],
-            [(r.mu, 1.0 if r.verdict == "Spreading" else 0.0, r.t_end) for r in transcript],
+        mu_star, _, transcript = find_mu_star(
+            base_spec.with_h0(MU_STAR_H0), cfg.initial_data(), mu_bracket, mcfg
         )
+        monotone = transcript_monotone(transcript)
+        _write_transcript(out, transcript)
     except BadBracketError as e:
         mu_bracket_ok = False
         print(f"mu bracket does not straddle the threshold: {e}", file=sys.stderr)
@@ -336,7 +295,7 @@ def cmd_reproduce_paper(cfg: RunConfig) -> int:
         ["L_star_lambda", "L_bracket_lo", "L_bracket_hi", "mu_lo", "mu_hi", "mu_star"],
         [(L_star, L_bracket[0], L_bracket[1], mu_bracket[0], mu_bracket[1], mu_star)],
     )
-    regimes_ok = all(verdicts[c] == v for c, v in _PAPER_CASES.items())
+    regimes_ok = all(verdicts[c] == v for c, v in CASES.items())
     print(f"regimes {'PASS' if regimes_ok else 'FAIL'}; "
           f"bracket {'PASS' if bracket_ok else 'FAIL'}; "
           f"mu bracket {'PASS' if mu_bracket_ok else 'FAIL'}")
@@ -351,7 +310,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     try:
         cfg = _load(args)
-    except (ConfigError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -374,6 +333,11 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
     except (BadBracketError, NotConvergedError, ArithmeticError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as e:
+        # inputs the config cannot check alone, such as --half-width -1, or
+        # verify's comparison data above a small capacity N1
+        print(f"invalid input: {e}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_USAGE
 
 

@@ -140,45 +140,10 @@ class CoefficientField:
     def is_autonomous(self) -> bool:
         return not self.harmonics
 
-    def temporal_frequencies(self) -> Tuple[float, ...]:
-        return tuple(h.frequency for h in self.harmonics)
-
 
 def constant_field(value: float) -> CoefficientField:
     """A spatially and temporally constant positive coefficient."""
     return CoefficientField(base=value, floor=0.5 * value)
-
-
-def almost_period(field: CoefficientField, eps: float, t_max: float = 1e4) -> float:
-    """Search for an eps-translation number of the field's temporal factor.
-
-    Candidates are integer multiples of the first harmonic's period; the
-    best simultaneous near-period of all harmonics within t_max is
-    returned.  Raises if no candidate achieves discrepancy < eps.
-    """
-    if field.is_autonomous:
-        return 1.0  # every tau works; return a token value
-    freqs = field.temporal_frequencies()
-    base_period = 2.0 * np.pi / freqs[0]
-    n_max = max(1, int(t_max / base_period))
-    k = np.arange(1, n_max + 1)
-    taus = k * base_period
-    # phase misfit of each remaining harmonic, as distance to the nearest 2*pi multiple
-    misfit = np.zeros_like(taus)
-    for h in field.harmonics[1:]:
-        ang = h.frequency * taus
-        d = np.abs(ang - 2.0 * np.pi * np.round(ang / (2.0 * np.pi)))
-        misfit = np.maximum(misfit, np.abs(h.amplitude) * d)
-    best = int(np.argmin(misfit))
-    tau = float(taus[best])
-    # verify by direct sampling of the temporal factor
-    t = np.linspace(0.0, 4.0 * base_period, 400)
-    diff = np.max(np.abs(field.eval(0.0, t + tau) - field.eval(0.0, t)))
-    if diff >= eps:
-        raise ValueError(
-            f"no eps-translation number below t_max={t_max:g} (best diff {diff:.3g})"
-        )
-    return tau
 
 
 @dataclass(frozen=True)

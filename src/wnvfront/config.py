@@ -9,13 +9,14 @@ The format is flat and diffable:
     [solver]
     t_end = 300.0
 
-Every key has a default (the reference parameterization), unknown keys
-are errors, and parse(render(cfg)) round-trips exactly.
+The [model], [solver] and [lyapunov] sections are ModelSpec, SolverConfig
+and EstimatorConfig themselves, so every key takes its default from the
+program.  Unknown keys are errors, and parse(render(cfg)) round-trips exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Tuple
 
@@ -24,7 +25,9 @@ import numpy as np
 from .coefficients import CoefficientField, PROFILE_KINDS, TemporalHarmonic
 from .lyapunov import EstimatorConfig
 from .model import InitialData, ModelSpec
+from .reproduce import LSTAR_BRACKET, MU_BRACKET, SEARCH_ESTIMATOR
 from .solver import SolverConfig
+from .thresholds import DEFAULT_SHIFTS
 
 
 class ConfigError(ValueError):
@@ -42,113 +45,38 @@ class ValidationError(ConfigError):
 
 
 @dataclass(frozen=True)
-class FieldSpec:
-    """Flat description of one CoefficientField."""
-
-    base: float
-    harmonics: Tuple[Tuple[float, str, float], ...]  # (amplitude, kind, frequency)
-    spatial_amp: float
-    spatial: str
-    floor: float
-
-    def build(self) -> CoefficientField:
-        return CoefficientField(
-            base=self.base,
-            harmonics=tuple(TemporalHarmonic(a, f, k) for (a, k, f) in self.harmonics),
-            spatial_amp=self.spatial_amp,
-            spatial=self.spatial,
-            floor=self.floor,
-        )
-
-
-_ALPHA1 = FieldSpec(0.88, ((0.56, "cos", 0.5),), 0.088, "ratio2_cos", 1e-3)
-_ALPHA2 = FieldSpec(0.16, ((0.2, "cos", np.pi / 3.0),), 0.024, "ratio1_cos", 1e-3)
-_GAMMA = FieldSpec(0.1, ((0.3, "sin", 1.0 / 3.0),), 0.02, "ratio2_sin", 1e-3)
-_DEATH = FieldSpec(0.029, ((0.1, "sin", np.pi / 2.0),), 0.0016, "ratio1_sin", 1e-3)
-
-
-@dataclass(frozen=True)
-class ModelSection:
-    D1: float = 3.0
-    D2: float = 0.125
-    N1: float = 1.0
-    N2: float = 20.0
-    beta: float = 0.6
-    mu: float = 0.1
-    h0: float = 2.0
-    alpha1: FieldSpec = _ALPHA1
-    alpha2: FieldSpec = _ALPHA2
-    gamma: FieldSpec = _GAMMA
-    death: FieldSpec = _DEATH
-
-
-@dataclass(frozen=True)
 class InitSection:
     kind: str = "cosine"  # cosine | file
-    amp_U: float = 0.1
-    amp_V: float = 2.0
+    amp_U: float = InitialData.amp_U
+    amp_V: float = InitialData.amp_V
     file: str = ""
-
-
-@dataclass(frozen=True)
-class SolverSection:
-    J: int = 400
-    dt0: float = 1e-3
-    dt_min: float = 1e-8
-    dt_max: float = 0.05
-    t_end: float = 300.0
-    newton_tol: float = 1e-10
-    max_newton: int = 30
-    output_times: Tuple[float, ...] = ()
-    bound_mode: str = "clip_tiny"
-
-
-@dataclass(frozen=True)
-class LyapunovSection:
-    J: int = 256
-    dt: float = 0.01
-    horizon: float = 2000.0
-    renorm_lo: float = 1e-6
-    renorm_hi: float = 1e6
-    tol: float = 5e-3
 
 
 @dataclass(frozen=True)
 class RunSection:
     out: str = "out"
-    seed: int = 0
-    L_lo: float = 0.3
-    L_hi: float = 3.0
-    mu_lo: float = 0.1
-    mu_hi: float = 1.0
-    shifts: Tuple[float, ...] = (-20.0, -10.0, -5.0, 0.0, 5.0, 10.0, 20.0)
+    L_lo: float = LSTAR_BRACKET[0]
+    L_hi: float = LSTAR_BRACKET[1]
+    mu_lo: float = MU_BRACKET[0]
+    mu_hi: float = MU_BRACKET[1]
+    shifts: Tuple[float, ...] = DEFAULT_SHIFTS
     L_list: Tuple[float, ...] = ()
-    t_list: Tuple[float, ...] = ()
     # cheaper estimator settings used inside threshold bisections
-    search_J: int = 128
-    search_dt: float = 0.02
-    search_horizon: float = 400.0
+    search_J: int = SEARCH_ESTIMATOR.J
+    search_dt: float = SEARCH_ESTIMATOR.dt
+    search_horizon: float = SEARCH_ESTIMATOR.horizon
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: ModelSection = ModelSection()
+    model: ModelSpec = ModelSpec()
     init: InitSection = InitSection()
-    solver: SolverSection = SolverSection()
-    lyapunov: LyapunovSection = LyapunovSection()
+    solver: SolverConfig = SolverConfig()
+    lyapunov: EstimatorConfig = EstimatorConfig()
     run: RunSection = RunSection()
 
     def model_spec(self) -> ModelSpec:
-        m = self.model
-        try:
-            return ModelSpec(
-                D1=m.D1, D2=m.D2, N1=m.N1, N2=m.N2, beta=m.beta,
-                alpha1=m.alpha1.build(), alpha2=m.alpha2.build(),
-                gamma_field=m.gamma.build(), death_field=m.death.build(),
-                mu=m.mu, h0=m.h0,
-            )
-        except ValueError as e:
-            raise ValidationError(str(e)) from e
+        return self.model
 
     def initial_data(self) -> InitialData:
         s = self.init
@@ -159,41 +87,27 @@ class RunConfig:
             return InitialData.from_samples(data["x"], data["U"], data["V"])
         raise ValidationError(f"unknown init kind {s.kind!r}")
 
-    def solver_config(self) -> SolverConfig:
-        s = self.solver
-        try:
-            return SolverConfig(
-                J=s.J, dt0=s.dt0, dt_min=s.dt_min, dt_max=s.dt_max, t_end=s.t_end,
-                newton_tol=s.newton_tol, max_newton=s.max_newton,
-                output_times=s.output_times, bound_mode=s.bound_mode,
-            )
-        except ValueError as e:
-            raise ValidationError(str(e)) from e
-
-    def estimator_config(self) -> EstimatorConfig:
-        l = self.lyapunov
-        return EstimatorConfig(
-            J=l.J, dt=l.dt, horizon=l.horizon,
-            renorm_lo=l.renorm_lo, renorm_hi=l.renorm_hi, tol=l.tol,
-        )
-
     def search_estimator_config(self) -> EstimatorConfig:
         r = self.run
-        return replace(
-            self.estimator_config(), J=r.search_J, dt=r.search_dt, horizon=r.search_horizon
-        )
+        return replace(self.lyapunov, J=r.search_J, dt=r.search_dt, horizon=r.search_horizon)
 
 
-_SECTIONS = {
-    "model": ModelSection,
-    "init": InitSection,
-    "solver": SolverSection,
-    "lyapunov": LyapunovSection,
-    "run": RunSection,
+# section name -> its dataclass, in file order
+_SECTIONS = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
+
+# The config keys of a section, where they are not all of its dataclass fields
+_KEYS = {
+    "solver": ("J", "dt0", "dt_min", "dt_max", "t_end", "newton_tol", "max_newton",
+               "output_times", "bound_mode"),
+    "lyapunov": ("J", "dt", "horizon", "renorm_lo", "renorm_hi", "tol"),
 }
-
-_FIELD_NAMES = ("alpha1", "alpha2", "gamma", "death")
+# A coefficient field is written as five keys <prefix>_<part>
+_FIELD_PREFIX = {"gamma_field": "gamma", "death_field": "death"}
 _FIELD_PARTS = ("base", "harmonics", "spatial_amp", "spatial", "floor")
+
+
+def _keys(section_name: str) -> Tuple[str, ...]:
+    return _KEYS.get(section_name) or tuple(f.name for f in fields(_SECTIONS[section_name]))
 
 
 def _fmt(value) -> str:
@@ -204,26 +118,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fmt_harmonics(harmonics) -> str:
-    return ", ".join(f"{repr(a)}:{k}:{repr(f)}" for (a, k, f) in harmonics)
-
-
 def render_config(cfg: RunConfig) -> str:
     """Serialize every key, defaults included, so files are self-describing."""
     lines = []
     for section_name in _SECTIONS:
         lines.append(f"[{section_name}]")
         section = getattr(cfg, section_name)
-        for f in fields(section):
-            value = getattr(section, f.name)
-            if isinstance(value, FieldSpec):
-                lines.append(f"{f.name}_base = {_fmt(value.base)}")
-                lines.append(f"{f.name}_harmonics = {_fmt_harmonics(value.harmonics)}")
-                lines.append(f"{f.name}_spatial_amp = {_fmt(value.spatial_amp)}")
-                lines.append(f"{f.name}_spatial = {value.spatial}")
-                lines.append(f"{f.name}_floor = {_fmt(value.floor)}")
+        for name in _keys(section_name):
+            value = getattr(section, name)
+            if isinstance(value, CoefficientField):
+                prefix = _FIELD_PREFIX.get(name, name)
+                harmonics = ", ".join(f"{h.amplitude!r}:{h.kind}:{h.frequency!r}"
+                                      for h in value.harmonics)
+                lines.append(f"{prefix}_base = {_fmt(value.base)}")
+                lines.append(f"{prefix}_harmonics = {harmonics}")
+                lines.append(f"{prefix}_spatial_amp = {_fmt(value.spatial_amp)}")
+                lines.append(f"{prefix}_spatial = {value.spatial}")
+                lines.append(f"{prefix}_floor = {_fmt(value.floor)}")
             else:
-                lines.append(f"{f.name} = {_fmt(value)}")
+                lines.append(f"{name} = {_fmt(value)}")
         lines.append("")
     return "\n".join(lines)
 
@@ -238,19 +151,15 @@ def _parse_harmonics(text: str, line_no: int):
         if len(bits) != 3:
             raise ParseError(f"harmonic {part.strip()!r} is not amp:kind:freq", line_no)
         try:
-            out.append((float(bits[0]), bits[1].strip(), float(bits[2])))
-        except ValueError:
-            raise ParseError(f"bad harmonic numbers in {part.strip()!r}", line_no) from None
+            out.append(TemporalHarmonic(float(bits[0]), float(bits[2]), bits[1].strip()))
+        except ValueError as e:
+            raise ParseError(f"bad harmonic {part.strip()!r}: {e}", line_no) from None
     return tuple(out)
 
 
 def _parse_value(raw: str, template, line_no: int):
     raw = raw.strip()
-    if isinstance(template, bool):
-        if raw not in ("true", "false", "True", "False"):
-            raise ParseError(f"expected boolean, got {raw!r}", line_no)
-        return raw.lower() == "true"
-    if isinstance(template, int) and not isinstance(template, bool):
+    if isinstance(template, int):
         try:
             return int(raw)
         except ValueError:
@@ -268,6 +177,33 @@ def _parse_value(raw: str, template, line_no: int):
         except ValueError:
             raise ParseError(f"expected comma-separated numbers, got {raw!r}", line_no) from None
     return raw
+
+
+def _parse_field(prefix: str, default: CoefficientField, pending: dict) -> CoefficientField:
+    parts = {}
+    for part in _FIELD_PARTS:
+        key = f"{prefix}_{part}"
+        if key not in pending:
+            continue
+        raw_value, line_no = pending.pop(key)
+        if part == "harmonics":
+            parts[part] = _parse_harmonics(raw_value, line_no)
+        elif part == "spatial":
+            value = raw_value.strip()
+            if value not in PROFILE_KINDS:
+                raise ParseError(f"unknown spatial profile {value!r}", line_no)
+            parts[part] = value
+        else:
+            parts[part] = _parse_value(raw_value, 0.0, line_no)
+    return _validated(replace, default, **parts) if parts else default
+
+
+def _validated(build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError or OSError reported as a ValidationError."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, OSError) as e:
+        raise ValidationError(str(e)) from e
 
 
 def parse_config(text: str) -> RunConfig:
@@ -295,35 +231,21 @@ def parse_config(text: str) -> RunConfig:
     built = {}
     for section_name, cls in _SECTIONS.items():
         pending = dict(sections[section_name])
+        default = cls()
         kwargs = {}
-        for f in fields(cls):
-            default = getattr(cls(), f.name)
-            if isinstance(default, FieldSpec):
-                parts = {}
-                for part in _FIELD_PARTS:
-                    key = f"{f.name}_{part}"
-                    if key in pending:
-                        raw_value, line_no = pending.pop(key)
-                        if part == "harmonics":
-                            parts[part] = _parse_harmonics(raw_value, line_no)
-                        elif part == "spatial":
-                            value = raw_value.strip()
-                            if value not in PROFILE_KINDS:
-                                raise ParseError(f"unknown spatial profile {value!r}", line_no)
-                            parts[part] = value
-                        else:
-                            parts[part] = _parse_value(raw_value, 0.0, line_no)
-                kwargs[f.name] = replace(default, **parts)
-            elif f.name in pending:
-                raw_value, line_no = pending.pop(f.name)
-                kwargs[f.name] = _parse_value(raw_value, default, line_no)
+        for name in _keys(section_name):
+            value = getattr(default, name)
+            if isinstance(value, CoefficientField):
+                kwargs[name] = _parse_field(_FIELD_PREFIX.get(name, name), value, pending)
+            elif name in pending:
+                raw_value, line_no = pending.pop(name)
+                kwargs[name] = _parse_value(raw_value, value, line_no)
         if pending:
             key, (_, line_no) = next(iter(pending.items()))
             raise ParseError(f"unknown key {key!r} in section [{section_name}]", line_no)
-        built[section_name] = cls(**kwargs)
+        built[section_name] = _validated(cls, **kwargs)
     cfg = RunConfig(**built)
-    cfg.model_spec()  # validate model invariants at parse time
-    cfg.solver_config()
+    _validated(lambda: cfg.initial_data().validate(cfg.model))
     return cfg
 
 

@@ -16,8 +16,6 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .coefficients import LinearizationMatrix
-from .model import ModelSpec
-from .solver import Trajectory
 
 
 @dataclass(frozen=True)
@@ -191,19 +189,3 @@ def lambda_sweep(
             violations.append((L1, L2, e1.lam - e2.lam))
     return SweepResult(entries=entries, violations=violations)
 
-
-def lambda_of_t(
-    spec: ModelSpec,
-    traj: Trajectory,
-    t_list: Sequence[float],
-    cfg: EstimatorConfig = EstimatorConfig(),
-) -> List[Tuple[float, LyapunovEstimate]]:
-    """Exponent along a trajectory: half-width interval re-centered at the moving midpoint."""
-    mat = spec.linearization()
-    out = []
-    for t in t_list:
-        geom = traj.geometry_at(t)
-        L = 0.5 * geom.width
-        est = lyapunov_exponent(mat.shifted_x(geom.center), L, (spec.D1, spec.D2), cfg)
-        out.append((t, est))
-    return out

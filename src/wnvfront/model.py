@@ -10,8 +10,8 @@ with a1 = alpha1*beta/N1, a2 = alpha2*beta/N1, d1 = gamma, d2 = d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -20,19 +20,34 @@ from .coefficients import CoefficientField, LinearizationMatrix, TemporalHarmoni
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full parameterization of the two-compartment free-boundary model."""
+    """Full parameterization of the two-compartment free-boundary model.
 
-    D1: float
-    D2: float
-    N1: float
-    N2: float
-    beta: float
-    alpha1: CoefficientField
-    alpha2: CoefficientField
-    gamma_field: CoefficientField  # bird recovery rate d1
-    death_field: CoefficientField  # mosquito death rate d2
-    mu: float
-    h0: float
+    The defaults are the reference parameterization, with four heterogeneous
+    almost-periodic rate fields (two transmission probabilities, recovery,
+    mosquito death).
+    """
+
+    D1: float = 3.0
+    D2: float = 0.125
+    N1: float = 1.0
+    N2: float = 20.0
+    beta: float = 0.6
+    mu: float = 0.1
+    h0: float = 2.0
+    alpha1: CoefficientField = CoefficientField(
+        0.88, (TemporalHarmonic(0.56, 0.5, "cos"),), 0.088, "ratio2_cos", 1e-3
+    )
+    alpha2: CoefficientField = CoefficientField(
+        0.16, (TemporalHarmonic(0.2, np.pi / 3.0, "cos"),), 0.024, "ratio1_cos", 1e-3
+    )
+    # bird recovery rate d1
+    gamma_field: CoefficientField = CoefficientField(
+        0.1, (TemporalHarmonic(0.3, 1.0 / 3.0, "sin"),), 0.02, "ratio2_sin", 1e-3
+    )
+    # mosquito death rate d2
+    death_field: CoefficientField = CoefficientField(
+        0.029, (TemporalHarmonic(0.1, np.pi / 2.0, "sin"),), 0.0016, "ratio1_sin", 1e-3
+    )
 
     def __post_init__(self):
         for name in ("D1", "D2", "N1", "N2", "beta", "mu", "h0"):
@@ -77,17 +92,10 @@ class ModelSpec:
             N2=self.N2,
         )
 
-    def jacobian_at_zero(self, x: float, t: float) -> np.ndarray:
-        return self.linearization().eval(x, t)
-
     def with_mu(self, mu: float) -> "ModelSpec":
-        from dataclasses import replace
-
         return replace(self, mu=mu)
 
     def with_h0(self, h0: float) -> "ModelSpec":
-        from dataclasses import replace
-
         return replace(self, h0=h0)
 
 
@@ -151,51 +159,6 @@ class InitialData:
         return cls(x_samples=x, U_samples=U, V_samples=V)
 
 
-def default_paper_spec(mu: float = 0.1, h0: float = 2.0) -> ModelSpec:
-    """The reference simulation parameterization.
-
-    D1=3, D2=0.125, N1=1, N2=20, beta=0.6, with the four heterogeneous
-    almost-periodic rate fields (two transmission probabilities, recovery,
-    mosquito death).
-    """
-    alpha1 = CoefficientField(
-        base=0.88,
-        harmonics=(TemporalHarmonic(0.56, 0.5, "cos"),),
-        spatial_amp=0.088,
-        spatial="ratio2_cos",
-        floor=1e-3,
-    )
-    alpha2 = CoefficientField(
-        base=0.16,
-        harmonics=(TemporalHarmonic(0.2, np.pi / 3.0, "cos"),),
-        spatial_amp=0.024,
-        spatial="ratio1_cos",
-        floor=1e-3,
-    )
-    gamma = CoefficientField(
-        base=0.1,
-        harmonics=(TemporalHarmonic(0.3, 1.0 / 3.0, "sin"),),
-        spatial_amp=0.02,
-        spatial="ratio2_sin",
-        floor=1e-3,
-    )
-    death = CoefficientField(
-        base=0.029,
-        harmonics=(TemporalHarmonic(0.1, np.pi / 2.0, "sin"),),
-        spatial_amp=0.0016,
-        spatial="ratio1_sin",
-        floor=1e-3,
-    )
-    return ModelSpec(
-        D1=3.0,
-        D2=0.125,
-        N1=1.0,
-        N2=20.0,
-        beta=0.6,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        gamma_field=gamma,
-        death_field=death,
-        mu=mu,
-        h0=h0,
-    )
+def default_paper_spec(mu: float = ModelSpec.mu, h0: float = ModelSpec.h0) -> ModelSpec:
+    """The reference parameterization (the ModelSpec defaults) at a given mu and h0."""
+    return ModelSpec(mu=mu, h0=h0)

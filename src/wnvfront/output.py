@@ -7,7 +7,7 @@ endings, so identical runs produce bitwise-identical files.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,15 +23,6 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
     for row in rows:
         lines.append(",".join(_f(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def read_csv(path) -> Dict[str, np.ndarray]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    data = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    arr = np.array(data) if data else np.zeros((0, len(header)))
-    return {name: arr[:, i] for i, name in enumerate(header)}
 
 
 def write_trajectory_csv(traj: Trajectory, outdir) -> List[Path]:

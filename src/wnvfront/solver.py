@@ -12,8 +12,8 @@ whose O(dt) error matches backward Euler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -55,7 +55,7 @@ class SolverConfig:
     dt0: float = 1e-3
     dt_min: float = 1e-8
     dt_max: float = 0.05
-    t_end: float = 100.0
+    t_end: float = 300.0
     newton_tol: float = 1e-10
     max_newton: int = 30
     output_times: Tuple[float, ...] = ()
@@ -95,17 +95,6 @@ class Trajectory:
     @property
     def width(self) -> np.ndarray:
         return self.h - self.g
-
-    def geometry_at(self, t: float) -> FrontGeometry:
-        """Linearly interpolated front geometry at time t."""
-        if t < self.t[0] - 1e-9 or t > self.t[-1] + 1e-9:
-            raise ValueError(f"t={t} outside trajectory range")
-        return FrontGeometry(
-            g=float(np.interp(t, self.t, self.g)),
-            h=float(np.interp(t, self.t, self.h)),
-            gdot=float(np.interp(t, self.t, self.gdot)),
-            hdot=float(np.interp(t, self.t, self.hdot)),
-        )
 
 
 def boundary_derivative(state: FrontState, side: str) -> float:

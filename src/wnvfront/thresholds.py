@@ -9,7 +9,7 @@ densities.  Anything else is Undetermined, a first-class outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -131,7 +131,7 @@ MAX_HORIZON_FACTOR = 8
 
 @dataclass(frozen=True)
 class MuStarConfig:
-    solver: SolverConfig = SolverConfig(t_end=300.0)
+    solver: SolverConfig = SolverConfig()
     classify: ClassifyConfig = ClassifyConfig()
     L_star: float = 1.0
     rel_tol: float = 1e-2
@@ -206,42 +206,3 @@ def transcript_monotone(transcript: Sequence[ProbeRecord]) -> bool:
             return False
     return True
 
-
-def dichotomy_check(
-    traj: Trajectory,
-    L_star: float,
-    lyap_series: Sequence[Tuple[float, LyapunovEstimate]],
-    cfg: ClassifyConfig = ClassifyConfig(),
-    width_tol: float = 0.1,
-) -> Dict[str, object]:
-    """Cross-validate a classified trajectory against the dichotomy clauses."""
-    cls = classify(traj, L_star, cfg)
-    clauses: List[Tuple[str, bool, str]] = []
-    if cls.verdict == "Undetermined":
-        return {"verdict": cls.verdict, "clauses": clauses}
-
-    if cls.verdict == "Vanishing":
-        final_width = cls.evidence["final_width"]
-        ok = final_width <= 2.0 * L_star + width_tol
-        clauses.append(
-            ("vanishing_width_bound", ok, f"final width {final_width:.4g} vs 2L*+tol {2*L_star+width_tol:.4g}")
-        )
-    if cls.verdict == "Spreading" and lyap_series:
-        t0, e0 = min(lyap_series, key=lambda p: p[0])
-        if e0.lam > 0:
-            w0 = float(np.interp(t0, traj.t, traj.width))
-            ok = w0 >= 2.0 * L_star - width_tol
-            clauses.append(
-                ("positive_lambda_width_bound", ok, f"width({t0:g})={w0:.4g} vs 2L*-tol {2*L_star-width_tol:.4g}")
-            )
-    if len(lyap_series) >= 2:
-        ordered = sorted(lyap_series, key=lambda p: p[0])
-        ok = True
-        for (_, e1), (_, e2) in zip(ordered, ordered[1:]):
-            slack = (e1.tail_slope_ci[1] - e1.tail_slope_ci[0]) + (
-                e2.tail_slope_ci[1] - e2.tail_slope_ci[0]
-            )
-            if e2.lam < e1.lam - slack:
-                ok = False
-        clauses.append(("lambda_nondecreasing_in_t", ok, f"{len(ordered)} samples"))
-    return {"verdict": cls.verdict, "clauses": clauses}

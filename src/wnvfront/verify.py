@@ -8,8 +8,7 @@ spreading runs for persistence and near-periodic recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline

@@ -22,6 +22,14 @@ from wnvfront.lyapunov import (
 )
 from wnvfront.cli import cli_main
 from wnvfront.model import InitialData
+from wnvfront.reproduce import (
+    CASES,
+    LSTAR_BRACKET,
+    MU_BRACKET,
+    MU_STAR_H0,
+    SEARCH_ESTIMATOR,
+    halfwidth_bracket,
+)
 from wnvfront.solver import SolverConfig
 from wnvfront.thresholds import (
     BadBracketError,
@@ -42,21 +50,6 @@ from wnvfront.verify import (
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# h0=0.6 is below the critical half-width, so its verdict turns on mu: the
-# model vanishes at mu=0.2 and spreads at mu=1.0 (mu* is about 0.87 for
-# these coefficients and initial data).
-REGIME_CASES = ((2.0, 0.1), (1.0, 0.1), (0.6, 0.1), (0.5, 0.1), (0.6, 0.2), (0.6, 1.0))
-EXPECTED = {
-    (2.0, 0.1): "Spreading",
-    (1.0, 0.1): "Spreading",
-    (0.6, 0.1): "Vanishing",
-    (0.5, 0.1): "Vanishing",
-    (0.6, 0.2): "Vanishing",
-    (0.6, 1.0): "Spreading",
-}
-
-SEARCH_ESTIMATOR = EstimatorConfig(J=128, dt=0.02, horizon=400.0)
-
 
 def _report(num, title, ok, detail=""):
     import conftest
@@ -73,7 +66,7 @@ def _report(num, title, ok, detail=""):
 def L_star(ref_spec):
     cfg = LStarConfig(estimator=SEARCH_ESTIMATOR)
     value, _ = find_L_star(ref_spec.linearization(), (ref_spec.D1, ref_spec.D2),
-                           (0.3, 3.0), cfg)
+                           LSTAR_BRACKET, cfg)
     return value
 
 
@@ -83,7 +76,7 @@ def regime_runs(ref_spec):
     tail = tuple(np.linspace(240.0, 300.0, 61))
     cfg = SolverConfig(J=400, t_end=300.0, output_times=tail)
     runs = {}
-    for h0, mu in REGIME_CASES:
+    for h0, mu in CASES:
         spec = ref_spec.with_h0(h0).with_mu(mu)
         t0 = time.time()
         traj = w.simulate(spec, InitialData(), cfg)
@@ -99,35 +92,36 @@ def regime_verdicts(regime_runs, L_star):
 def test_criterion_01_regime_dichotomy(regime_runs, regime_verdicts):
     details = []
     ok = True
-    for case in REGIME_CASES:
+    for case, expected in CASES.items():
         traj, runtime = regime_runs[case]
         verdict = regime_verdicts[case].verdict
-        good = traj.status == "completed" and verdict == EXPECTED[case] and runtime <= 60.0
+        good = traj.status == "completed" and verdict == expected and runtime <= 60.0
         ok = ok and good
         details.append(f"h0={case[0]},mu={case[1]}: {verdict}"
-                       f"{'' if verdict == EXPECTED[case] else ' (expected ' + EXPECTED[case] + ')'}"
+                       f"{'' if verdict == expected else ' (expected ' + expected + ')'}"
                        f" [{runtime:.1f}s]")
     _report(1, "regime dichotomy at reference parameters", ok, "; ".join(details))
 
 
 def test_criterion_02_threshold_brackets(ref_spec, regime_verdicts, L_star):
-    van = [h0 for (h0, mu), c in regime_verdicts.items() if mu == 0.1 and c.verdict == "Vanishing"]
-    spr = [h0 for (h0, mu), c in regime_verdicts.items() if mu == 0.1 and c.verdict == "Spreading"]
-    l_ok = van and spr and max(van) == 0.6 and min(spr) == 1.0
+    expected = halfwidth_bracket(CASES)
+    l_bracket = halfwidth_bracket({case: c.verdict for case, c in regime_verdicts.items()})
+    l_ok = l_bracket == expected
     mu_detail = ""
     mu_ok = False
     try:
         mcfg = MuStarConfig(solver=SolverConfig(J=400, t_end=300.0), L_star=L_star)
-        mu_star, _, transcript = find_mu_star(ref_spec.with_h0(0.6), InitialData(),
-                                              (0.1, 1.0), mcfg)
-        mu_ok = 0.1 < mu_star < 1.0 and transcript_monotone(transcript)
+        mu_star, _, transcript = find_mu_star(ref_spec.with_h0(MU_STAR_H0), InitialData(),
+                                              MU_BRACKET, mcfg)
+        mu_ok = MU_BRACKET[0] < mu_star < MU_BRACKET[1] and transcript_monotone(transcript)
         mu_detail = f"mu*={mu_star:.4f}"
     except BadBracketError as e:
         mu_detail = f"mu bracket rejected: {e}"
     except NotConvergedError as e:
         mu_detail = f"mu* search not converged: {e}"
-    _report(2, "threshold brackets (L in (0.6,1.0), mu* in (0.1,1.0))", bool(l_ok and mu_ok),
-            f"L bracket ({max(van) if van else '-'}, {min(spr) if spr else '-'}); {mu_detail}")
+    _report(2, f"threshold brackets (L in ({expected[0]},{expected[1]}), "
+            f"mu* in ({MU_BRACKET[0]},{MU_BRACKET[1]}))", bool(l_ok and mu_ok),
+            f"L bracket ({l_bracket[0]}, {l_bracket[1]}); {mu_detail}")
 
 
 def test_criterion_03_lyapunov_oracle_grid():

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -130,3 +128,44 @@ def test_reproduce_paper_unconverged_mustar_is_exit_2(fast_cfg, tmp_path, monkey
     rc = cli_main(["--config", fast_cfg, "--out", str(out), "reproduce-paper"])
     assert rc == EXIT_NUMERICAL
     assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("init", [
+    "kind = bogus",
+    "amp_U = 5.0",
+    "kind = file\nfile = no_such_initial_data.csv",
+], ids=["unknown_kind", "amp_above_capacity", "missing_file"])
+def test_bad_init_section_is_usage_error(tmp_path, init):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(FAST_CFG + "[init]\n" + init + "\n", encoding="utf-8")
+    assert cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "simulate"]) == EXIT_USAGE
+
+
+def test_verify_uses_config_model(tmp_path, monkeypatch):
+    good_rows = [
+        {"study": "spatial", "J": J, "dt": 0.01, "error": e, "order": o}
+        for J, e, o in ((24, 4e-2, np.nan), (48, 1e-2, 2.0), (96, 2.5e-3, 2.0))
+    ] + [
+        {"study": "temporal", "J": 256, "dt": d, "error": e, "order": o}
+        for d, e, o in ((0.04, 1e-2, np.nan), (0.02, 5e-3, 1.0), (0.01, 2.5e-3, 1.0))
+    ]
+    seen = []
+    monkeypatch.setattr(cli, "manufactured_convergence", lambda: good_rows)
+    monkeypatch.setattr(cli, "comparison_suite",
+                        lambda spec, *a, **k: seen.append(spec) or {"passed": True, "cases": []})
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("[model]\nD1 = 2.0\nalpha1_base = 0.5\nh0 = 0.6\n", encoding="utf-8")
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path / "v"), "verify"]) == EXIT_OK
+    (spec,) = seen
+    assert spec.D1 == 2.0
+    assert spec.alpha1.base == 0.5
+    assert spec.h0 == 1.0  # verify raises h0 to at least 1.0
+
+
+def test_invalid_command_input_is_usage_error(tmp_path, monkeypatch):
+    assert cli_main(["--out", str(tmp_path / "l"), "lyapunov", "--half-width", "-1"]) == EXIT_USAGE
+    # verify's comparison data (amp_U up to 0.12) exceed a bird capacity of 0.1
+    monkeypatch.setattr(cli, "manufactured_convergence", lambda: [])
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("[model]\nN1 = 0.1\n", encoding="utf-8")
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path / "v"), "verify"]) == EXIT_USAGE

@@ -1,15 +1,47 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wnvfront.coefficients import (
     CoefficientField,
     LinearizationMatrix,
     TemporalHarmonic,
-    almost_period,
     constant_field,
     spatial_profile,
 )
 from wnvfront.model import default_paper_spec
+
+
+def almost_period(field: CoefficientField, eps: float, t_max: float = 1e4) -> float:
+    """Search for an eps-translation number of the field's temporal factor.
+
+    Candidates are integer multiples of the first harmonic's period; the
+    best simultaneous near-period of all harmonics within t_max is
+    returned.  Raises if no candidate achieves discrepancy < eps.
+    """
+    if field.is_autonomous:
+        return 1.0  # every tau works; return a token value
+    base_period = field.harmonics[0].period
+    n_max = max(1, int(t_max / base_period))
+    k = np.arange(1, n_max + 1)
+    taus = k * base_period
+    # phase misfit of each remaining harmonic, as distance to the nearest 2*pi multiple
+    misfit = np.zeros_like(taus)
+    for h in field.harmonics[1:]:
+        ang = h.frequency * taus
+        d = np.abs(ang - 2.0 * np.pi * np.round(ang / (2.0 * np.pi)))
+        misfit = np.maximum(misfit, np.abs(h.amplitude) * d)
+    best = int(np.argmin(misfit))
+    tau = float(taus[best])
+    # verify by direct sampling of the temporal factor
+    t = np.linspace(0.0, 4.0 * base_period, 400)
+    diff = np.max(np.abs(field.eval(0.0, t + tau) - field.eval(0.0, t)))
+    if diff >= eps:
+        raise ValueError(
+            f"no eps-translation number below t_max={t_max:g} (best diff {diff:.3g})"
+        )
+    return tau
 
 
 def test_constant_field_identity():
@@ -141,3 +173,23 @@ def test_constant_matrix_validation():
         LinearizationMatrix.constant([[-1.0, -0.5], [0.5, -1.0]])
     with pytest.raises(ValueError):
         LinearizationMatrix.constant([[1.0, 0.5], [0.5, -1.0]])
+
+
+_harmonics = st.lists(
+    st.builds(TemporalHarmonic, st.floats(-0.9, 0.9), st.floats(0.01, 10.0),
+              st.sampled_from(("cos", "sin")), st.floats(-10.0, 10.0)),
+    max_size=3,
+).map(tuple)
+_shifts = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_harmonics, _shifts, _shifts)
+def test_shifts_compose(harmonics, a, b):
+    f = CoefficientField(1.0, harmonics, 0.0, floor=1e-3, _validate=False)
+    x = np.linspace(-5.0, 5.0, 7)[:, None]
+    t = np.linspace(0.0, 50.0, 11)[None, :]
+    # the phases add in a different order, so equal up to rounding
+    np.testing.assert_allclose(f.shifted(a).shifted(b).eval(x, t), f.shifted(a + b).eval(x, t),
+                               rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(f.shifted(a).eval(x, t), f.eval(x, t + a), rtol=1e-9, atol=1e-12)

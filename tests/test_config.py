@@ -2,7 +2,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wnvfront.coefficients import PROFILE_KINDS, CoefficientField, TemporalHarmonic
 from wnvfront.config import (
     ParseError,
     RunConfig,
@@ -75,10 +78,9 @@ def test_field_spec_overrides():
     )
     f = cfg.model.alpha1
     assert f.base == 0.5
-    assert f.harmonics == ((0.1, "sin", 2.0),)
+    assert f.harmonics == (TemporalHarmonic(0.1, 2.0, "sin"),)
     assert f.spatial_amp == 0.0
-    built = f.build()
-    assert built.eval(0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert f.eval(0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_shipped_corpus_parses():
@@ -100,16 +102,91 @@ def test_shipped_corpus_parses():
 
     spec = load_config(CONFIGS / "paper_fig1a.cfg").model_spec()
     assert spec == default_paper_spec(mu=0.1, h0=2.0)
+    # the reference file holds exactly the defaults, and every file exactly the rendered keys
+    assert load_config(CONFIGS / "reference.cfg") == RunConfig()
+    rendered = _keys(render_config(RunConfig()))
+    for name in expected:
+        assert _keys((CONFIGS / name).read_text(encoding="utf-8")) == rendered, name
+
+
+def _keys(text):
+    """The (section, key) pairs of config text, in order."""
+    keys, section = [], None
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            keys.append((section, line.partition("=")[0].strip()))
+    return keys
 
 
 def test_derived_configs_build():
     cfg = RunConfig()
     spec = cfg.model_spec()
     assert spec.h0 == 2.0
-    scfg = cfg.solver_config()
-    assert scfg.t_end == 300.0
-    est = cfg.estimator_config()
-    assert est.horizon == 2000.0
+    assert cfg.solver.t_end == 300.0
+    assert cfg.lyapunov.horizon == 2000.0
     search = cfg.search_estimator_config()
     assert search.horizon == cfg.run.search_horizon
     assert search.J == cfg.run.search_J
+
+
+_floats = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+_fractions = st.floats(min_value=0.0, max_value=0.9)
+
+
+@st.composite
+def _fields(draw):
+    """A coefficient field that passes the positivity check by construction."""
+    harmonics = tuple(
+        TemporalHarmonic(draw(st.floats(-0.9, 0.9)), draw(st.floats(0.01, 10.0)),
+                         draw(st.sampled_from(("cos", "sin"))))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    base = draw(_floats)
+    lowest = base
+    for h in harmonics:
+        lowest *= 1.0 - abs(h.amplitude)
+    # every profile stays within [-2.2, 2.2]
+    return CoefficientField(base, harmonics, draw(_fractions) * lowest / 2.2,
+                            draw(st.sampled_from(PROFILE_KINDS)), 1e-3 * lowest)
+
+
+_tuples = st.lists(st.floats(-1e3, 1e3), max_size=4).map(tuple)
+
+
+@st.composite
+def _configs(draw):
+    cfg = RunConfig()
+    model = replace(
+        cfg.model,
+        **{k: draw(_floats) for k in ("D1", "D2", "N1", "N2", "beta", "mu", "h0")},
+        alpha1=draw(_fields()), alpha2=draw(_fields()),
+        gamma_field=draw(_fields()), death_field=draw(_fields()),
+    )
+    init = replace(cfg.init, amp_U=draw(_fractions) * model.N1 + 1e-6 * model.N1,
+                   amp_V=draw(_fractions) * model.N2 + 1e-6 * model.N2)
+    dts = sorted(draw(st.lists(st.floats(1e-8, 1.0), min_size=3, max_size=3)))
+    solver = replace(
+        cfg.solver, J=draw(st.integers(16, 4000)), dt_min=dts[0], dt0=dts[1], dt_max=dts[2],
+        t_end=draw(_floats), newton_tol=draw(_floats), max_newton=draw(st.integers(1, 100)),
+        output_times=draw(_tuples), bound_mode=draw(st.sampled_from(("clip_tiny", "reject_step"))),
+    )
+    lyapunov = replace(
+        cfg.lyapunov, J=draw(st.integers(2, 4000)),
+        **{k: draw(_floats) for k in ("dt", "horizon", "renorm_lo", "renorm_hi", "tol")},
+    )
+    run = replace(
+        cfg.run, out=draw(st.text("abcxyz0123_-./", min_size=1)),
+        **{k: draw(_floats) for k in ("L_lo", "L_hi", "mu_lo", "mu_hi", "search_dt",
+                                      "search_horizon")},
+        shifts=draw(_tuples), L_list=draw(_tuples), search_J=draw(st.integers(2, 4000)),
+    )
+    return RunConfig(model=model, init=init, solver=solver, lyapunov=lyapunov, run=run)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_configs())
+def test_round_trip_generated(cfg):
+    assert parse_config(render_config(cfg)) == cfg

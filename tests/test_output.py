@@ -6,7 +6,6 @@ import pytest
 import wnvfront as w
 from wnvfront.output import (
     _downsample,
-    read_csv,
     svg_heatmap,
     svg_line_chart,
     trajectory_heatmap_matrix,
@@ -16,6 +15,15 @@ from wnvfront.output import (
     write_trajectory_csv,
 )
 from wnvfront.solver import SolverConfig, Trajectory
+
+
+def read_csv(path):
+    text = path.read_text(encoding="utf-8")
+    lines = [ln for ln in text.split("\n") if ln]
+    header = lines[0].split(",")
+    data = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    arr = np.array(data) if data else np.zeros((0, len(header)))
+    return {name: arr[:, i] for i, name in enumerate(header)}
 
 
 @pytest.fixture(scope="module")

@@ -125,14 +125,6 @@ def test_ordered_initial_data_order_fronts(ref_spec, fast_solver):
     assert np.min(lo.g[:n] - hi.g[:n]) >= -1e-8
 
 
-def test_trajectory_geometry_interpolation(ref_spec, fast_solver):
-    traj = simulate(ref_spec, InitialData(), fast_solver)
-    geom = traj.geometry_at(0.0)
-    assert geom.h == pytest.approx(ref_spec.h0)
-    with pytest.raises(ValueError):
-        traj.geometry_at(traj.t[-1] + 1.0)
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(J=4, t_end=1.0)

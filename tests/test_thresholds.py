@@ -13,7 +13,6 @@ from wnvfront.thresholds import (
     MuStarConfig,
     ProbeRecord,
     classify,
-    dichotomy_check,
     find_L_star,
     find_mu_star,
     transcript_monotone,
@@ -177,17 +176,3 @@ def test_transcript_monotone():
     bad = good + [ProbeRecord(0.25, "Vanishing", 300.0)]
     assert not transcript_monotone(bad)
 
-
-def test_dichotomy_check_vanishing_bound():
-    traj = _traj(np.linspace(0, 100, 50), 1.5, 0.0)
-    report = dichotomy_check(traj, L_star=1.0, lyap_series=[])
-    assert report["verdict"] == "Vanishing"
-    names = {name: ok for name, ok, _ in report["clauses"]}
-    assert names["vanishing_width_bound"]
-
-
-def test_dichotomy_check_undetermined_empty():
-    traj = _traj(np.linspace(0, 100, 50), 2.0, 0.5)
-    report = dichotomy_check(traj, L_star=2.0, lyap_series=[])
-    assert report["verdict"] == "Undetermined"
-    assert report["clauses"] == []
