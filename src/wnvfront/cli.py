@@ -228,8 +228,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     spec = cfg.model.with_h0(max(cfg.model.h0, 1.0))
     scfg = replace(cfg.solver, t_end=10.0, dt0=0.02, dt_min=0.02, dt_max=0.02,
                    J=200, output_times=(5.0, 10.0))
-    base = InitialData(amp_U=0.08, amp_V=1.5)
-    upper = InitialData(amp_U=0.12, amp_V=2.25)
+    # an ordered pair within capacity: 8 % and 12 % of N1, 7.5 % and 11.25 % of N2
+    base = InitialData(amp_U=0.08 * spec.N1, amp_V=1.5 * spec.N2 / 20.0)
+    upper = InitialData(amp_U=0.12 * spec.N1, amp_V=2.25 * spec.N2 / 20.0)
     report = comparison_suite(spec, [(base, upper)], scfg)
     print(f"comparison passed={report['passed']}")
     ok = ok and report["passed"]

@@ -98,7 +98,7 @@ _SECTIONS = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfi
 # The config keys of a section, where they are not all of its dataclass fields
 _KEYS = {
     "solver": ("J", "dt0", "dt_min", "dt_max", "t_end", "newton_tol", "max_newton",
-               "output_times", "bound_mode"),
+               "output_times"),
     "lyapunov": ("J", "dt", "horizon", "renorm_lo", "renorm_hi", "tol"),
 }
 # A coefficient field is written as five keys <prefix>_<part>
@@ -118,6 +118,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_harmonic(h: TemporalHarmonic) -> str:
+    """amp:kind:freq, with :phase appended when the phase is nonzero."""
+    text = f"{h.amplitude!r}:{h.kind}:{h.frequency!r}"
+    return text + f":{h.phase!r}" if h.phase else text
+
+
 def render_config(cfg: RunConfig) -> str:
     """Serialize every key, defaults included, so files are self-describing."""
     lines = []
@@ -128,8 +134,7 @@ def render_config(cfg: RunConfig) -> str:
             value = getattr(section, name)
             if isinstance(value, CoefficientField):
                 prefix = _FIELD_PREFIX.get(name, name)
-                harmonics = ", ".join(f"{h.amplitude!r}:{h.kind}:{h.frequency!r}"
-                                      for h in value.harmonics)
+                harmonics = ", ".join(_fmt_harmonic(h) for h in value.harmonics)
                 lines.append(f"{prefix}_base = {_fmt(value.base)}")
                 lines.append(f"{prefix}_harmonics = {harmonics}")
                 lines.append(f"{prefix}_spatial_amp = {_fmt(value.spatial_amp)}")
@@ -148,10 +153,11 @@ def _parse_harmonics(text: str, line_no: int):
     out = []
     for part in text.split(","):
         bits = part.strip().split(":")
-        if len(bits) != 3:
-            raise ParseError(f"harmonic {part.strip()!r} is not amp:kind:freq", line_no)
+        if len(bits) not in (3, 4):
+            raise ParseError(f"harmonic {part.strip()!r} is not amp:kind:freq[:phase]", line_no)
         try:
-            out.append(TemporalHarmonic(float(bits[0]), float(bits[2]), bits[1].strip()))
+            phase = float(bits[3]) if len(bits) == 4 else 0.0
+            out.append(TemporalHarmonic(float(bits[0]), float(bits[2]), bits[1].strip(), phase))
         except ValueError as e:
             raise ParseError(f"bad harmonic {part.strip()!r}: {e}", line_no) from None
     return tuple(out)

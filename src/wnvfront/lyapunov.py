@@ -4,7 +4,9 @@ Integrates I_t = D I_xx + A(x,t) I on [-L, L] with Dirichlet ends from a
 strictly positive profile, renormalizing the sup norm to avoid over/
 underflow, and reads the exponent off the accumulated log-growth.  The
 sup norm over both components stands in for the abstract operator norm;
-any equivalent norm gives the same exponent.
+any equivalent norm gives the same exponent.  Each step is one solve with
+the solver's banded operator, at zero drift and with the Jacobian at zero
+as the reaction matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .coefficients import LinearizationMatrix
+from .solver import banded_operator
 
 
 @dataclass(frozen=True)
@@ -57,29 +60,6 @@ def lyapunov_constant_oracle(A0, L: float, D) -> float:
     return float(half_tr + np.sqrt(max(half_tr * half_tr - det, 0.0)))
 
 
-def _banded_matrix(mat, x_int, t, D1, D2, dt, dx):
-    """Backward-Euler system matrix in interleaved banded form (bands 2,2)."""
-    m11, m12, m21, m22 = mat.entries(x_int, t)
-    J1 = len(x_int)
-    n = 2 * J1
-    inv_dx2 = 1.0 / (dx * dx)
-    Dvec = np.empty(n)
-    Dvec[0::2] = D1
-    Dvec[1::2] = D2
-    diag = np.empty(n)
-    diag[0::2] = 1.0 / dt + 2.0 * D1 * inv_dx2 - m11
-    diag[1::2] = 1.0 / dt + 2.0 * D2 * inv_dx2 - m22
-    ab = np.zeros((5, n))
-    ab[2, :] = diag
-    # same-node component coupling
-    ab[1, 1::2] = -m12  # entry (2k, 2k+1)
-    ab[3, 0::2] = -m21  # entry (2k+1, 2k)
-    # nearest-neighbor diffusion, same component
-    ab[0, 2:] = -Dvec[2:] * inv_dx2
-    ab[4, :-2] = -Dvec[:-2] * inv_dx2
-    return ab
-
-
 def lyapunov_exponent(
     mat: LinearizationMatrix, L: float, D, cfg: EstimatorConfig = EstimatorConfig()
 ) -> LyapunovEstimate:
@@ -90,6 +70,8 @@ def lyapunov_exponent(
     J = cfg.J
     dx = 2.0 * L / J
     x_int = -L + dx * np.arange(1, J)
+    inv_dx2 = 1.0 / (dx * dx)
+    no_drift = np.zeros(J - 1)
     n_steps = int(round(cfg.horizon / cfg.dt))
     dt = cfg.horizon / n_steps
 
@@ -101,7 +83,8 @@ def lyapunov_exponent(
     u /= np.max(u)
 
     autonomous = mat.is_autonomous
-    ab = _banded_matrix(mat, x_int, 0.0, D1, D2, dt, dx) if autonomous else None
+    if autonomous:
+        ab = banded_operator(D1, D2, inv_dx2, no_drift, *mat.entries(x_int, 0.0), dt)
 
     log_acc = 0.0
     renorms = 0
@@ -113,7 +96,7 @@ def lyapunov_exponent(
     for k in range(1, n_steps + 1):
         t = k * dt
         if not autonomous:
-            ab = _banded_matrix(mat, x_int, t, D1, D2, dt, dx)
+            ab = banded_operator(D1, D2, inv_dx2, no_drift, *mat.entries(x_int, t), dt)
         u = solve_banded((2, 2), ab, u / dt)
         if not np.all(np.isfinite(u)):
             raise ArithmeticError(f"non-finite state in exponent integration at t={t}")

@@ -33,10 +33,6 @@ class FrontGeometry:
     def width(self) -> float:
         return self.h - self.g
 
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.h + self.g)
-
     def to_y(self, x):
         """Map physical x in [g, h] to fixed y in [-1, 1]."""
         x = np.asarray(x, dtype=float)

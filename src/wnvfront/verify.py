@@ -1,9 +1,9 @@
-"""Verification harnesses: manufactured solutions, comparison tests, persistence probes.
+"""Verification harnesses: manufactured solutions, comparison tests, probe series.
 
 These drivers exercise the solver against independent ground truth:
-exact solutions with injected sources for convergence orders, ordered
-initial data for the comparison principle, and tail analysis of
-spreading runs for persistence and near-periodic recurrence.
+exact solutions with injected sources for convergence orders, and
+ordered initial data for the comparison principle.  ``probe_series``
+reads a trajectory at a fixed physical point, for persistence checks.
 """
 
 from __future__ import annotations
@@ -193,63 +193,3 @@ def probe_series(traj: Trajectory, x_probe: float) -> Tuple[np.ndarray, np.ndarr
             us.append(float(np.interp(y, st.y, st.m)))
             vs.append(float(np.interp(y, st.y, st.n)))
     return np.array(ts), np.array(us), np.array(vs)
-
-
-def detect_translation(ts: np.ndarray, values: np.ndarray) -> Dict[str, float]:
-    """Best near-period of a uniformly sampled signal via autocorrelation peaks.
-
-    Returns the candidate translation, the sup discrepancy under it, and
-    the signal's oscillation scale for normalizing that discrepancy.
-    """
-    n = len(values)
-    if n < 8:
-        raise ValueError("series too short")
-    dt = float(np.median(np.diff(ts)))
-    a = values - np.mean(values)
-    ac = np.correlate(a, a, mode="full")[n - 1 :]
-    norm = np.arange(n, 0, -1)
-    ac = ac / norm  # unbiased
-    # first local maximum after the zero-lag peak has decayed
-    lag = None
-    for k in range(2, n - 2):
-        if ac[k] >= ac[k - 1] and ac[k] >= ac[k + 1] and ac[k] > 0:
-            lag = k
-            break
-    if lag is None:
-        lag = n // 2
-    tau = lag * dt
-    shifted = values[lag:]
-    overlap = values[: n - lag]
-    discrepancy = float(np.max(np.abs(shifted - overlap)))
-    scale = float(np.max(values) - np.min(values))
-    return {"translation": tau, "discrepancy": discrepancy, "oscillation": scale}
-
-
-def spreading_state_probe(
-    traj: Trajectory,
-    probes: Sequence[float] = (0.0, 1.0, -1.0, 2.0, -2.0),
-    tail_frac: float = 0.5,
-) -> Dict[str, object]:
-    """Tail persistence and recurrence report for a spreading trajectory.
-
-    For each probe point, reports the tail floors of U and V and the
-    best translation candidate with its sup discrepancy.  Report-only:
-    no pass/fail is imposed here.
-    """
-    report: Dict[str, object] = {"probes": {}}
-    for x in probes:
-        ts, us, vs = probe_series(traj, x)
-        if len(ts) < 8:
-            continue
-        cut = ts[-1] - tail_frac * (ts[-1] - ts[0])
-        sel = ts >= cut
-        entry = {
-            "floor_U": float(np.min(us[sel])),
-            "floor_V": float(np.min(vs[sel])),
-        }
-        try:
-            entry["translation_U"] = detect_translation(ts[sel], us[sel])
-        except ValueError:
-            pass
-        report["probes"][x] = entry
-    return report

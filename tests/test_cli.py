@@ -162,10 +162,20 @@ def test_verify_uses_config_model(tmp_path, monkeypatch):
     assert spec.h0 == 1.0  # verify raises h0 to at least 1.0
 
 
-def test_invalid_command_input_is_usage_error(tmp_path, monkeypatch):
+def test_invalid_command_input_is_usage_error(tmp_path):
     assert cli_main(["--out", str(tmp_path / "l"), "lyapunov", "--half-width", "-1"]) == EXIT_USAGE
-    # verify's comparison data (amp_U up to 0.12) exceed a bird capacity of 0.1
+
+
+def test_verify_comparison_data_within_capacity(tmp_path, monkeypatch):
+    seen = []
     monkeypatch.setattr(cli, "manufactured_convergence", lambda: [])
+    monkeypatch.setattr(cli, "comparison_suite",
+                        lambda spec, pairs, *a, **k: seen.append((spec, pairs))
+                        or {"passed": True, "cases": []})
     cfg = tmp_path / "small.cfg"
-    cfg.write_text("[model]\nN1 = 0.1\n", encoding="utf-8")
-    assert cli_main(["--config", str(cfg), "--out", str(tmp_path / "v"), "verify"]) == EXIT_USAGE
+    cfg.write_text("[model]\nN1 = 0.1\nN2 = 5.0\n", encoding="utf-8")
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path / "v"), "verify"]) == EXIT_OK
+    ((spec, [(lo, hi)]),) = seen
+    for init in (lo, hi):
+        init.validate(spec)
+    assert lo.amp_U < hi.amp_U and lo.amp_V < hi.amp_V

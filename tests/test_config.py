@@ -141,7 +141,7 @@ def _fields(draw):
     """A coefficient field that passes the positivity check by construction."""
     harmonics = tuple(
         TemporalHarmonic(draw(st.floats(-0.9, 0.9)), draw(st.floats(0.01, 10.0)),
-                         draw(st.sampled_from(("cos", "sin"))))
+                         draw(st.sampled_from(("cos", "sin"))), draw(st.floats(-1e3, 1e3)))
         for _ in range(draw(st.integers(0, 2)))
     )
     base = draw(_floats)
@@ -171,7 +171,7 @@ def _configs(draw):
     solver = replace(
         cfg.solver, J=draw(st.integers(16, 4000)), dt_min=dts[0], dt0=dts[1], dt_max=dts[2],
         t_end=draw(_floats), newton_tol=draw(_floats), max_newton=draw(st.integers(1, 100)),
-        output_times=draw(_tuples), bound_mode=draw(st.sampled_from(("clip_tiny", "reject_step"))),
+        output_times=draw(_tuples),
     )
     lyapunov = replace(
         cfg.lyapunov, J=draw(st.integers(2, 4000)),

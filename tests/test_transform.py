@@ -60,4 +60,3 @@ def test_out_of_domain_rejected():
 def test_width_and_center():
     geom = FrontGeometry(g=-2.0, h=4.0)
     assert geom.width == 6.0
-    assert geom.center == 1.0

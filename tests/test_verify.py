@@ -8,11 +8,9 @@ from wnvfront.solver import SolverConfig
 from wnvfront.verify import (
     _exact,
     comparison_suite,
-    detect_translation,
     manufactured_convergence,
     observed_orders,
     probe_series,
-    spreading_state_probe,
 )
 
 
@@ -57,20 +55,6 @@ def test_comparison_ordered_pair(ref_spec, fast_solver):
     assert report["cases"][0]["front_margin"] >= -1e-8
 
 
-def test_detect_translation_synthetic_signal():
-    period = 7.3
-    t = np.linspace(0, 80, 1200)
-    signal = 1.0 + 0.2 * np.sin(2 * np.pi * t / period) + 1e-4 * t
-    report = detect_translation(t, signal)
-    assert report["translation"] == pytest.approx(period, rel=0.05)
-    assert report["discrepancy"] < 0.05 * report["oscillation"] + 0.02
-
-
-def test_detect_translation_short_series():
-    with pytest.raises(ValueError):
-        detect_translation(np.arange(4.0), np.arange(4.0))
-
-
 def _autonomous_spec():
     base = w.default_paper_spec(mu=0.1, h0=2.0)
     strip = lambda f: replace(f, harmonics=(), _validate=False)
@@ -91,15 +75,3 @@ def test_autonomous_tail_converges_to_constant():
     ts, us, _ = probe_series(traj, 0.0)
     tail = us[ts >= 110.0]
     assert np.max(tail) - np.min(tail) < 1e-3 * np.max(tail)
-
-
-def test_spreading_state_probe_report():
-    spec = _autonomous_spec()
-    outs = tuple(np.linspace(40.0, 120.0, 81))
-    traj = w.simulate(spec, InitialData(), SolverConfig(J=250, t_end=120.0,
-                                                        output_times=outs))
-    report = spreading_state_probe(traj, probes=(0.0, 1.0))
-    assert set(report["probes"]) == {0.0, 1.0}
-    for entry in report["probes"].values():
-        assert entry["floor_U"] > 0
-        assert entry["floor_V"] > 0
