@@ -252,6 +252,10 @@ def parse_config(text: str) -> RunConfig:
         built[section_name] = _validated(cls, **kwargs)
     cfg = RunConfig(**built)
     _validated(lambda: cfg.initial_data().validate(cfg.model))
+    try:
+        cfg.search_estimator_config()
+    except ValueError as e:
+        raise ValidationError(f"[run] search estimator: {e}") from e
     return cfg
 
 

@@ -10,12 +10,12 @@ densities.  Anything else is Undetermined, a first-class outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .coefficients import LinearizationMatrix
-from .lyapunov import EstimatorConfig, LyapunovEstimate, lyapunov_exponent
+from .lyapunov import EstimatorConfig, lyapunov_exponent
 from .model import InitialData, ModelSpec
 from .solver import SolverConfig, Trajectory, simulate
 
@@ -85,25 +85,19 @@ class LStarConfig:
     max_iter: int = 60
 
 
-def _worst_lambda(mat, D, L, cfg: LStarConfig) -> LyapunovEstimate:
-    """Shift-sampled worst-case (smallest) exponent at half-width L."""
-    best: Optional[LyapunovEstimate] = None
-    for s in cfg.shifts:
-        est = lyapunov_exponent(mat.shifted_x(s), L, D, cfg.estimator)
-        if best is None or est.lam < best.lam:
-            best = est
-    return best
-
-
 def find_L_star(
     mat: LinearizationMatrix, D, bracket: Tuple[float, float], cfg: LStarConfig = LStarConfig()
 ) -> Tuple[float, int]:
-    """Bisect the exponent's zero crossing in L.  Returns (L_star, iterations)."""
+    """Bisect the exponent's zero crossing in L.  Returns (L_star, iterations).
+
+    The exponent at each half-width is the worst (smallest) over
+    ``cfg.shifts``, from one estimate that integrates all the shifts together.
+    """
     L_lo, L_hi = bracket
     if not (0 < L_lo < L_hi):
         raise ValueError("need 0 < L_lo < L_hi")
-    e_lo = _worst_lambda(mat, D, L_lo, cfg)
-    e_hi = _worst_lambda(mat, D, L_hi, cfg)
+    e_lo = lyapunov_exponent(mat, L_lo, D, cfg.estimator, shifts=cfg.shifts)
+    e_hi = lyapunov_exponent(mat, L_hi, D, cfg.estimator, shifts=cfg.shifts)
     if not (e_lo.lam < 0.0 < e_hi.lam):
         raise BadBracketError(
             f"no sign change: lambda({L_lo})={e_lo.lam:.4g}, lambda({L_hi})={e_hi.lam:.4g}"
@@ -111,7 +105,7 @@ def find_L_star(
     iterations = 0
     while L_hi - L_lo > cfg.bracket_tol and iterations < cfg.max_iter:
         mid = 0.5 * (L_lo + L_hi)
-        est = _worst_lambda(mat, D, mid, cfg)
+        est = lyapunov_exponent(mat, mid, D, cfg.estimator, shifts=cfg.shifts)
         iterations += 1
         ci_width = est.tail_slope_ci[1] - est.tail_slope_ci[0]
         if abs(est.lam) < ci_width:

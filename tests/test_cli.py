@@ -179,3 +179,18 @@ def test_verify_comparison_data_within_capacity(tmp_path, monkeypatch):
     for init in (lo, hi):
         init.validate(spec)
     assert lo.amp_U < hi.amp_U and lo.amp_V < hi.amp_V
+
+
+@pytest.mark.parametrize("command", ["lyapunov", "find-lstar"])
+@pytest.mark.parametrize("setting", [
+    "[lyapunov]\ndt = 0",
+    "[lyapunov]\nhorizon = 0.001",
+    "[lyapunov]\nrenorm_lo = 2.0",
+    "[run]\nsearch_dt = 0",
+    "[run]\nsearch_J = 1",
+], ids=["dt_zero", "horizon_below_dt", "renorm_lo_above_one", "search_dt_zero", "search_J_one"])
+def test_bad_estimator_setting_is_usage_error(tmp_path, capsys, setting, command):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(FAST_CFG + setting + "\n", encoding="utf-8")
+    assert cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), command]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err

@@ -173,14 +173,16 @@ def _configs(draw):
         t_end=draw(_floats), newton_tol=draw(_floats), max_newton=draw(st.integers(1, 100)),
         output_times=draw(_tuples),
     )
+    dt, horizon = sorted(draw(st.lists(_floats, min_size=2, max_size=2)))
     lyapunov = replace(
-        cfg.lyapunov, J=draw(st.integers(2, 4000)),
-        **{k: draw(_floats) for k in ("dt", "horizon", "renorm_lo", "renorm_hi", "tol")},
+        cfg.lyapunov, J=draw(st.integers(2, 4000)), dt=dt, horizon=horizon, tol=draw(_floats),
+        renorm_lo=draw(st.floats(1e-12, 0.999)), renorm_hi=draw(st.floats(1.001, 1e12)),
     )
+    search_dt, search_horizon = sorted(draw(st.lists(_floats, min_size=2, max_size=2)))
     run = replace(
         cfg.run, out=draw(st.text("abcxyz0123_-./", min_size=1)),
-        **{k: draw(_floats) for k in ("L_lo", "L_hi", "mu_lo", "mu_hi", "search_dt",
-                                      "search_horizon")},
+        **{k: draw(_floats) for k in ("L_lo", "L_hi", "mu_lo", "mu_hi")},
+        search_dt=search_dt, search_horizon=search_horizon,
         shifts=draw(_tuples), L_list=draw(_tuples), search_J=draw(st.integers(2, 4000)),
     )
     return RunConfig(model=model, init=init, solver=solver, lyapunov=lyapunov, run=run)

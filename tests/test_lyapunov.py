@@ -106,3 +106,35 @@ def test_reference_estimate_positive_at_wide_interval(ref_spec):
 def test_invalid_L_rejected(ref_spec):
     with pytest.raises(ValueError):
         lyapunov_exponent(ref_spec.linearization(), -1.0, (1.0, 1.0), FAST)
+
+
+@pytest.mark.parametrize("kind", ["reference", "constant"])
+def test_batched_shifts_equal_worst_single_shift(kind, ref_spec):
+    # exact equality: no coupling leaks across the block edges
+    if kind == "reference":
+        mat = ref_spec.linearization()
+    else:
+        mat = LinearizationMatrix.constant([[-0.1, 0.528], [1.92, -0.029]])
+    D = (ref_spec.D1, ref_spec.D2)
+    cfg = EstimatorConfig(J=24, dt=0.1, horizon=40.0)
+    for shifts in ((-20.0, 0.0, 20.0), (20.0, 3.5, -5.0, -20.0)):
+        for L in (0.5, 2.0):
+            batched = lyapunov_exponent(mat, L, D, cfg, shifts=shifts)
+            single = [lyapunov_exponent(mat.shifted_x(s), L, D, cfg) for s in shifts]
+            assert batched == min(single, key=lambda e: e.lam)
+
+
+def test_batched_shifts_require_one():
+    with pytest.raises(ValueError):
+        lyapunov_exponent(LinearizationMatrix.constant([[-1.0, 0.5], [0.5, -1.0]]),
+                          1.0, (1.0, 1.0), FAST, shifts=())
+
+
+@pytest.mark.parametrize("bad", [
+    dict(dt=0.0), dict(dt=-0.1), dict(horizon=0.005), dict(J=1), dict(samples=0),
+    dict(burn_in=1.0), dict(burn_in=-0.1), dict(renorm_lo=0.0), dict(renorm_lo=1.0),
+    dict(renorm_hi=1.0), dict(tol=0.0),
+])
+def test_estimator_config_validation(bad):
+    with pytest.raises(ValueError):
+        EstimatorConfig(**{**vars(FAST), **bad})

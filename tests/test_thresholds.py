@@ -91,6 +91,19 @@ def test_find_lstar_rejects_bad_interval():
         find_L_star(mat, (3.0, 0.125), (2.0, 1.0), AUTONOMOUS_LSTAR)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1, and the CHANGES.md FOUND entry on find_L_star's early exit: the "
+    "search stops once |lambda| is below the tail-slope spread, which the horizon sets, "
+    "so L* is 1.2703, 1.2914 and 1.2809 at horizons 400, 800 and 1600"))
+def test_lstar_independent_of_horizon(ref_spec):
+    mat, D = ref_spec.linearization(), (ref_spec.D1, ref_spec.D2)
+    found = []
+    for horizon in (400.0, 800.0, 1600.0):
+        cfg = LStarConfig(estimator=EstimatorConfig(J=32, dt=0.5, horizon=horizon))
+        found.append(find_L_star(mat, D, (0.3, 3.0), cfg)[0])
+    assert max(found) - min(found) <= LStarConfig.bracket_tol, found
+
+
 class _MuProbeStub:
     """Replaces simulate/classify so the bisection logic runs without PDE solves."""
 
