@@ -7,7 +7,7 @@ from .coefficients import (
     constant_field,
     spatial_profile,
 )
-from .model import InitialData, ModelSpec, default_paper_spec
+from .model import InitialData, ModelSpec
 from .transform import FrontGeometry
 from .solver import (
     FrontState,
@@ -27,7 +27,6 @@ from .lyapunov import (
 from .thresholds import (
     BadBracketError,
     Classification,
-    ClassifyConfig,
     LStarConfig,
     MuStarConfig,
     NotConvergedError,

@@ -148,11 +148,7 @@ def constant_field(value: float) -> CoefficientField:
 
 @dataclass(frozen=True)
 class LinearizationMatrix:
-    """The 2x2 matrix [[-d1, a1*N1], [a2*N2, -d2]] of coefficient fields.
-
-    ``x_offset`` evaluates the fields at x + x_offset, which realizes
-    spatial re-centering of the estimation interval.
-    """
+    """The 2x2 matrix [[-d1, a1*N1], [a2*N2, -d2]] of coefficient fields."""
 
     a1: CoefficientField  # already includes the beta / N1 scaling
     a2: CoefficientField
@@ -160,25 +156,20 @@ class LinearizationMatrix:
     d2: CoefficientField
     N1: float
     N2: float
-    x_offset: float = 0.0
 
     def entries(self, x, t):
         """Return (m11, m12, m21, m22) arrays broadcast over x, t."""
-        xs = np.asarray(x, dtype=float) + self.x_offset
         return (
-            -self.d1.eval(xs, t),
-            self.a1.eval(xs, t) * self.N1,
-            self.a2.eval(xs, t) * self.N2,
-            -self.d2.eval(xs, t),
+            -self.d1.eval(x, t),
+            self.a1.eval(x, t) * self.N1,
+            self.a2.eval(x, t) * self.N2,
+            -self.d2.eval(x, t),
         )
 
     def eval(self, x: float, t: float) -> np.ndarray:
         """The matrix at a single point, shape (2, 2)."""
         m11, m12, m21, m22 = self.entries(x, t)
         return np.array([[m11, m12], [m21, m22]], dtype=float)
-
-    def shifted_x(self, x_shift: float) -> "LinearizationMatrix":
-        return replace(self, x_offset=self.x_offset + x_shift)
 
     @property
     def is_autonomous(self) -> bool:

@@ -11,7 +11,9 @@ The format is flat and diffable:
 
 The [model], [solver] and [lyapunov] sections are ModelSpec, SolverConfig
 and EstimatorConfig themselves, so every key takes its default from the
-program.  Unknown keys are errors, and parse(render(cfg)) round-trips exactly.
+program.  A section's keys are exactly its dataclass fields, with a
+coefficient field written as five keys.  Unknown keys are errors, and
+parse(render(cfg)) round-trips exactly.
 """
 
 from __future__ import annotations
@@ -95,19 +97,9 @@ class RunConfig:
 # section name -> its dataclass, in file order
 _SECTIONS = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
 
-# The config keys of a section, where they are not all of its dataclass fields
-_KEYS = {
-    "solver": ("J", "dt0", "dt_min", "dt_max", "t_end", "newton_tol", "max_newton",
-               "output_times"),
-    "lyapunov": ("J", "dt", "horizon", "renorm_lo", "renorm_hi", "tol"),
-}
 # A coefficient field is written as five keys <prefix>_<part>
 _FIELD_PREFIX = {"gamma_field": "gamma", "death_field": "death"}
 _FIELD_PARTS = ("base", "harmonics", "spatial_amp", "spatial", "floor")
-
-
-def _keys(section_name: str) -> Tuple[str, ...]:
-    return _KEYS.get(section_name) or tuple(f.name for f in fields(_SECTIONS[section_name]))
 
 
 def _fmt(value) -> str:
@@ -130,7 +122,7 @@ def render_config(cfg: RunConfig) -> str:
     for section_name in _SECTIONS:
         lines.append(f"[{section_name}]")
         section = getattr(cfg, section_name)
-        for name in _keys(section_name):
+        for name in (f.name for f in fields(section)):
             value = getattr(section, name)
             if isinstance(value, CoefficientField):
                 prefix = _FIELD_PREFIX.get(name, name)
@@ -239,7 +231,7 @@ def parse_config(text: str) -> RunConfig:
         pending = dict(sections[section_name])
         default = cls()
         kwargs = {}
-        for name in _keys(section_name):
+        for name in (f.name for f in fields(cls)):
             value = getattr(default, name)
             if isinstance(value, CoefficientField):
                 kwargs[name] = _parse_field(_FIELD_PREFIX.get(name, name), value, pending)

@@ -22,6 +22,9 @@ from scipy.linalg import solve_banded
 from .coefficients import LinearizationMatrix
 from .solver import banded_operator
 
+BURN_IN = 0.25  # fraction of the horizon discarded before the slope is read
+SAMPLES = 400  # length of the log-norm series kept for the tail regression
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -31,8 +34,6 @@ class EstimatorConfig:
     renorm_lo: float = 1e-6
     renorm_hi: float = 1e6
     tol: float = 5e-3  # CI width for the converged flag
-    burn_in: float = 0.25  # fraction of horizon discarded before slope accumulation
-    samples: int = 400  # log-norm series length kept for the tail regression
 
     def __post_init__(self):
         if self.J < 2:
@@ -43,10 +44,6 @@ class EstimatorConfig:
             raise ValueError("need 0 < renorm_lo < 1 < renorm_hi")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not 0 <= self.burn_in < 1:
-            raise ValueError("need 0 <= burn_in < 1")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,8 @@ class LyapunovEstimate:
     renorm_count: int
     tail_slope_ci: Tuple[float, float]
     converged: bool
-    positive_cone: bool = True
+    positive_cone: bool
+    shift: float  # the spatial shift this estimate was integrated at
 
 
 def lyapunov_constant_oracle(A0, L: float, D) -> float:
@@ -90,7 +88,8 @@ def lyapunov_exponent(
     as the blocks of one block-diagonal system: one coefficient evaluation
     and one banded solve per step for all of them.  Renormalisation, the
     positive-cone check and the log-norm series are kept per block, and the
-    estimate with the smallest ``lam`` is returned (the first on a tie).
+    estimate with the smallest ``lam`` is returned (the first on a tie),
+    with the shift it came from.
     Each block's arithmetic is that of a lone shift, so the result equals
     the minimum of the single-shift estimates exactly.
     """
@@ -103,10 +102,7 @@ def lyapunov_exponent(
     J = cfg.J
     dx = 2.0 * L / J
     x_int = -L + dx * np.arange(1, J)
-    # the blocks' grids, offset as mat.shifted_x(s) offsets them, for a
-    # matrix whose own offset is then exactly zero
-    x_all = np.concatenate([x_int + (mat.x_offset + s) for s in shifts])
-    unshifted = mat.shifted_x(-mat.x_offset)
+    x_all = np.concatenate([x_int + s for s in shifts])
     inv_dx2 = 1.0 / (dx * dx)
     no_drift = np.zeros(nb * (J - 1))
     n_steps = int(round(cfg.horizon / cfg.dt))
@@ -118,7 +114,7 @@ def lyapunov_exponent(
     lower_edge = upper_edge - 2
 
     def operator(t):
-        ab = banded_operator(D1, D2, inv_dx2, no_drift, *unshifted.entries(x_all, t), dt)
+        ab = banded_operator(D1, D2, inv_dx2, no_drift, *mat.entries(x_all, t), dt)
         ab[0, upper_edge] = 0.0
         ab[4, lower_edge] = 0.0
         return ab
@@ -138,7 +134,7 @@ def lyapunov_exponent(
     log_acc = np.zeros(nb)
     renorms = np.zeros(nb, dtype=int)
     cone_ok = np.ones(nb, dtype=bool)
-    stride = max(1, n_steps // cfg.samples)
+    stride = max(1, n_steps // SAMPLES)
     ts: List[float] = [0.0]
     ss: List[np.ndarray] = [np.zeros(nb)]
     t = 0.0
@@ -166,7 +162,7 @@ def lyapunov_exponent(
 
     ts_arr = np.array(ts)
     ss_arr = np.array(ss).T.copy()  # one row per block
-    t_burn = cfg.burn_in * cfg.horizon
+    t_burn = BURN_IN * cfg.horizon
     i0 = int(np.searchsorted(ts_arr, t_burn))
     i0 = min(i0, len(ts_arr) - 2)
     lams = (ss_arr[:, -1] - ss_arr[:, i0]) / (ts_arr[-1] - ts_arr[i0])
@@ -181,6 +177,7 @@ def lyapunov_exponent(
         tail_slope_ci=ci,
         converged=converged,
         positive_cone=bool(cone_ok[b]),
+        shift=float(shifts[b]),
     )
 
 

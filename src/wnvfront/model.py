@@ -157,8 +157,3 @@ class InitialData:
         if np.any(np.diff(x) <= 0):
             raise ValueError("sample abscissae must be strictly increasing")
         return cls(x_samples=x, U_samples=U, V_samples=V)
-
-
-def default_paper_spec(mu: float = ModelSpec.mu, h0: float = ModelSpec.h0) -> ModelSpec:
-    """The reference parameterization (the ModelSpec defaults) at a given mu and h0."""
-    return ModelSpec(mu=mu, h0=h0)

@@ -9,6 +9,13 @@ exponent estimator shares); the two fronts then move by the Stefan rule
 with a second-order one-sided boundary gradient.  Geometry coefficients
 are frozen at the step start (velocities lagged one step), a Lie
 splitting whose O(dt) error matches backward Euler.
+
+The verification hooks are arguments of ``step`` and ``_march``, not
+settings: ``fronts`` prescribes the front motion t -> (g, h, gdot, hdot)
+in place of the Stefan rule, and ``sources`` adds source terms
+(y, t) -> (S_m, S_n) to the reactions at the interior nodes.  The
+solution is held to its admissible band unless sources are given, since
+a manufactured solution need not respect it.
 """
 
 from __future__ import annotations
@@ -60,12 +67,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 30
     output_times: Tuple[float, ...] = ()
-    enforce_bounds: bool = True  # off for manufactured-solution runs with sources
-    # verification hooks: prescribed front motion t -> (g, h, gdot, hdot),
-    # and extra source terms (y, t) -> (S_m, S_n) added to the reactions at
-    # the interior nodes y
-    prescribed_fronts: Optional[Callable] = None
-    sources: Optional[Callable] = None
 
     def __post_init__(self):
         if self.J < 16:
@@ -138,16 +139,32 @@ def banded_operator(D1, D2, diff, adv, m11, m12, m21, m22, dt):
     return ab
 
 
-def step(spec: ModelSpec, state: FrontState, dt: float, cfg: SolverConfig) -> FrontState:
-    """Advance one implicit step of size dt; raises on failure (see module errors)."""
+def _stefan_velocities(mu: float, state: FrontState) -> Tuple[float, float]:
+    """(gdot, hdot) by the Stefan rule x' = -mu U_x, with U_x = (2/w) m_y on the state's width."""
+    scale = -mu * (2.0 / state.geom.width)
+    return scale * boundary_derivative(state, "left"), scale * boundary_derivative(state, "right")
+
+
+def step(
+    spec: ModelSpec,
+    state: FrontState,
+    dt: float,
+    cfg: SolverConfig,
+    fronts: Optional[Callable] = None,
+    sources: Optional[Callable] = None,
+) -> FrontState:
+    """Advance one implicit step of size dt; raises on failure (see module errors).
+
+    ``fronts`` and ``sources`` are the verification hooks of the module docstring.
+    """
     geom = state.geom
     y = state.y
     J = len(y) - 1
     dy = 2.0 / J
     t1 = state.t + dt
 
-    if cfg.prescribed_fronts is not None:
-        g1, h1, gd1, hd1 = cfg.prescribed_fronts(t1)
+    if fronts is not None:
+        g1, h1, gd1, hd1 = fronts(t1)
         geom_c = FrontGeometry(g1, h1, gd1, hd1)
     else:
         geom_c = geom
@@ -159,8 +176,8 @@ def step(spec: ModelSpec, state: FrontState, dt: float, cfg: SolverConfig) -> Fr
     a2 = spec.a2.eval(x, t1)
     d1 = spec.d1.eval(x, t1)
     d2 = spec.d2.eval(x, t1)
-    if cfg.sources is not None:
-        S1, S2 = cfg.sources(y_int, t1)
+    if sources is not None:
+        S1, S2 = sources(y_int, t1)
     else:
         S1 = S2 = 0.0
 
@@ -199,19 +216,14 @@ def step(spec: ModelSpec, state: FrontState, dt: float, cfg: SolverConfig) -> Fr
     n_new = np.zeros(J + 1)
     m_new[1:-1] = u[0::2]
     n_new[1:-1] = u[1::2]
-    if cfg.enforce_bounds:
+    if sources is None:
         m_new = _apply_bounds(m_new, spec.N1, t1)
         n_new = _apply_bounds(n_new, spec.N2, t1)
 
-    if cfg.prescribed_fronts is not None:
+    if fronts is not None:
         geom_new = geom_c
     else:
-        w = geom.width
-        tmp = FrontState(t1, y, m_new, n_new, geom)
-        my_r = boundary_derivative(tmp, "right")
-        my_l = boundary_derivative(tmp, "left")
-        hdot = -spec.mu * (2.0 / w) * my_r
-        gdot = -spec.mu * (2.0 / w) * my_l
+        gdot, hdot = _stefan_velocities(spec.mu, FrontState(t1, y, m_new, n_new, geom))
         geom_new = FrontGeometry(
             g=geom.g + dt * gdot,
             h=geom.h + dt * hdot,
@@ -242,11 +254,8 @@ def initial_state(spec: ModelSpec, init: InitialData, cfg: SolverConfig) -> Fron
     n = init.v0(x, spec.h0)
     m[0] = m[-1] = 0.0
     n[0] = n[-1] = 0.0
-    geom0 = FrontGeometry(-spec.h0, spec.h0, 0.0, 0.0)
-    tmp = FrontState(0.0, y, m, n, geom0)
-    w = geom0.width
-    hdot = -spec.mu * (2.0 / w) * boundary_derivative(tmp, "right")
-    gdot = -spec.mu * (2.0 / w) * boundary_derivative(tmp, "left")
+    at_rest = FrontGeometry(-spec.h0, spec.h0, 0.0, 0.0)
+    gdot, hdot = _stefan_velocities(spec.mu, FrontState(0.0, y, m, n, at_rest))
     return FrontState(0.0, y, m, n, FrontGeometry(-spec.h0, spec.h0, gdot, hdot))
 
 
@@ -261,7 +270,13 @@ def simulate(spec: ModelSpec, init: InitialData, cfg: SolverConfig) -> Trajector
     return _march(spec, state, cfg)
 
 
-def _march(spec: ModelSpec, state: FrontState, cfg: SolverConfig) -> Trajectory:
+def _march(
+    spec: ModelSpec,
+    state: FrontState,
+    cfg: SolverConfig,
+    fronts: Optional[Callable] = None,
+    sources: Optional[Callable] = None,
+) -> Trajectory:
     dy = 2.0 / cfg.J
     out_times = sorted(t for t in cfg.output_times if t <= cfg.t_end + 1e-12)
     snapshots: List[FrontState] = []
@@ -294,7 +309,7 @@ def _march(spec: ModelSpec, state: FrontState, cfg: SolverConfig) -> Trajectory:
             dt_try = min(dt_try, pending[0] - state.t)
         dt_try = max(dt_try, cfg.dt_min)
         try:
-            new_state = step(spec, state, dt_try, cfg)
+            new_state = step(spec, state, dt_try, cfg, fronts, sources)
         except NonFiniteError:
             status = "blowup"
             break

@@ -21,6 +21,16 @@ from .solver import SolverConfig, Trajectory, simulate
 
 DEFAULT_SHIFTS = (-20.0, -10.0, -5.0, 0.0, 5.0, 10.0, 20.0)
 
+# The evidence rules of ``classify``
+EXTINCTION_EPS = 1e-6
+WIDTH_SLOPE_EPS = 1e-4
+WINDOW_FRAC = 0.2  # trailing fraction of the horizon used as evidence
+SPREADING_MARGIN = 0.5  # added to 2*L_star for the spreading width bar
+
+# Iteration caps of the two bisections
+LSTAR_MAX_ITER = 60
+MUSTAR_MAX_ITER = 40
+
 
 class BadBracketError(ValueError):
     """The supplied bracket does not straddle the threshold."""
@@ -31,48 +41,37 @@ class NotConvergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ClassifyConfig:
-    extinction_eps: float = 1e-6
-    width_slope_eps: float = 1e-4
-    window_frac: float = 0.2  # trailing fraction of the horizon used as evidence
-    spreading_margin: float = 0.5  # added to 2*L_star for the spreading width bar
-
-
-@dataclass(frozen=True)
 class Classification:
     verdict: str  # Spreading | Vanishing | Undetermined
     evidence: Dict[str, float]
 
 
-def classify(traj: Trajectory, L_star: float, cfg: ClassifyConfig = ClassifyConfig()) -> Classification:
+def classify(traj: Trajectory, L_star: float) -> Classification:
     """Classify a completed trajectory against the finite-horizon evidence rules."""
     if traj.status != "completed":
         raise ValueError(f"cannot classify a trajectory with status {traj.status!r}")
     t = traj.t
     span = t[-1] - t[0]
-    tail = t >= t[-1] - cfg.window_frac * span
+    tail = t >= t[-1] - WINDOW_FRAC * span
     if np.count_nonzero(tail) < 2:
         tail = np.ones_like(t, dtype=bool)
 
     width = traj.width
-    norms = np.maximum(traj.sup_m, traj.sup_n)
     floor_tail = float(np.min(np.minimum(traj.sup_m, traj.sup_n)[tail]))
     width_slope = float(np.polyfit(t[tail], width[tail], 1)[0])
-    norm_slope = float(np.polyfit(t[tail], norms[tail], 1)[0])
     evidence = {
         "final_width": float(width[-1]),
         "final_sup_U": float(traj.sup_m[-1]),
         "final_sup_V": float(traj.sup_n[-1]),
         "width_slope": width_slope,
-        "norm_slope": norm_slope,
         "tail_norm_floor": floor_tail,
         "max_width": float(np.max(width)),
-        "width_bar": 2.0 * L_star + cfg.spreading_margin,
+        "width_bar": 2.0 * L_star + SPREADING_MARGIN,
     }
     final_norm = max(evidence["final_sup_U"], evidence["final_sup_V"])
-    if final_norm < cfg.extinction_eps and width_slope < cfg.width_slope_eps:
+    if final_norm < EXTINCTION_EPS and width_slope < WIDTH_SLOPE_EPS:
         return Classification("Vanishing", evidence)
-    if evidence["max_width"] > evidence["width_bar"] and floor_tail > cfg.extinction_eps:
+    if evidence["max_width"] > evidence["width_bar"] and floor_tail > EXTINCTION_EPS:
         return Classification("Spreading", evidence)
     return Classification("Undetermined", evidence)
 
@@ -82,7 +81,10 @@ class LStarConfig:
     estimator: EstimatorConfig = EstimatorConfig()
     shifts: Tuple[float, ...] = DEFAULT_SHIFTS
     bracket_tol: float = 1e-2
-    max_iter: int = 60
+
+    def __post_init__(self):
+        if not self.bracket_tol > 0:
+            raise ValueError("bracket_tol must be positive")
 
 
 def find_L_star(
@@ -103,7 +105,7 @@ def find_L_star(
             f"no sign change: lambda({L_lo})={e_lo.lam:.4g}, lambda({L_hi})={e_hi.lam:.4g}"
         )
     iterations = 0
-    while L_hi - L_lo > cfg.bracket_tol and iterations < cfg.max_iter:
+    while L_hi - L_lo > cfg.bracket_tol and iterations < LSTAR_MAX_ITER:
         mid = 0.5 * (L_lo + L_hi)
         est = lyapunov_exponent(mat, mid, D, cfg.estimator, shifts=cfg.shifts)
         iterations += 1
@@ -126,10 +128,12 @@ MAX_HORIZON_FACTOR = 8
 @dataclass(frozen=True)
 class MuStarConfig:
     solver: SolverConfig = SolverConfig()
-    classify: ClassifyConfig = ClassifyConfig()
     L_star: float = 1.0
     rel_tol: float = 1e-2
-    max_iter: int = 40
+
+    def __post_init__(self):
+        if not self.rel_tol > 0:
+            raise ValueError("rel_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,7 @@ def find_mu_star(
         scfg = cfg.solver
         while True:
             traj = simulate(spec.with_mu(mu), init, scfg)
-            verdict = classify(traj, cfg.L_star, cfg.classify).verdict
+            verdict = classify(traj, cfg.L_star).verdict
             if verdict != "Undetermined" or scfg.t_end >= t_limit:
                 break
             scfg = replace(scfg, t_end=2.0 * scfg.t_end)
@@ -179,13 +183,15 @@ def find_mu_star(
         raise BadBracketError(f"mu_hi={mu_hi} does not spread")
     tol = cfg.rel_tol * mu_hi
     iterations = 0
-    while mu_hi - mu_lo > tol and iterations < cfg.max_iter:
+    while mu_hi - mu_lo > tol and iterations < MUSTAR_MAX_ITER:
         mid = 0.5 * (mu_lo + mu_hi)
         iterations += 1
         if probe(mid) == "Spreading":
             mu_hi = mid
         else:
             mu_lo = mid
+    if mu_hi - mu_lo > tol:
+        raise NotConvergedError("mu* bisection hit the iteration cap")
     return 0.5 * (mu_lo + mu_hi), iterations, transcript
 
 

@@ -78,14 +78,11 @@ def _run_manufactured(J: int, dt: float, t_end: float) -> float:
         dt_max=dt,
         t_end=t_end,
         output_times=(t_end,),
-        enforce_bounds=False,
-        prescribed_fronts=_fronts,
-        sources=_manufactured_sources(spec),
     )
     y = np.linspace(-1.0, 1.0, J + 1)
     g, h, gd, hd = _fronts(0.0)
     state0 = FrontState(0.0, y, _exact(y, 0.0), _exact(y, 0.0), FrontGeometry(g, h, gd, hd))
-    traj = _march(spec, state0, cfg)
+    traj = _march(spec, state0, cfg, fronts=_fronts, sources=_manufactured_sources(spec))
     if traj.status != "completed":
         raise RuntimeError(f"manufactured run failed with status {traj.status}")
     final = traj.snapshots[-1]

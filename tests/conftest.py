@@ -17,7 +17,7 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def ref_spec():
-    return w.default_paper_spec(mu=0.1, h0=2.0)
+    return w.ModelSpec(mu=0.1, h0=2.0)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,8 @@ from wnvfront.coefficients import (
     constant_field,
     spatial_profile,
 )
-from wnvfront.model import default_paper_spec
+from wnvfront.lyapunov import EstimatorConfig, lyapunov_exponent
+from wnvfront.model import ModelSpec
 
 
 def almost_period(field: CoefficientField, eps: float, t_max: float = 1e4) -> float:
@@ -53,19 +54,19 @@ def test_constant_field_identity():
 
 def test_alpha1_reference_value():
     # 0.88 * (1 + 0.56) + 0.088 * 2 * 1 at the origin
-    spec = default_paper_spec()
+    spec = ModelSpec()
     assert spec.alpha1.eval(0.0, 0.0) == pytest.approx(1.5488, abs=1e-12)
 
 
 def test_other_reference_values_at_origin():
-    spec = default_paper_spec()
+    spec = ModelSpec()
     assert spec.alpha2.eval(0.0, 0.0) == pytest.approx(0.216, abs=1e-12)
     assert spec.gamma_field.eval(0.0, 0.0) == pytest.approx(0.1, abs=1e-12)
     assert spec.death_field.eval(0.0, 0.0) == pytest.approx(0.029, abs=1e-12)
 
 
 def test_shift_by_zero_is_identity():
-    spec = default_paper_spec()
+    spec = ModelSpec()
     x = np.linspace(-5, 5, 11)
     t = np.linspace(0, 40, 13)
     f = spec.alpha1
@@ -80,7 +81,7 @@ def test_constant_shift_is_identity():
 
 def test_alpha1_exact_period_shift():
     # cos(t/2) has period 4*pi; shifting by it reproduces the field exactly
-    spec = default_paper_spec()
+    spec = ModelSpec()
     x = np.linspace(-5, 5, 11)
     t = np.linspace(0, 40, 13)
     shifted = spec.alpha1.shifted(4.0 * np.pi)
@@ -89,7 +90,7 @@ def test_alpha1_exact_period_shift():
 
 
 def test_shift_semantics_and_composition():
-    spec = default_paper_spec()
+    spec = ModelSpec()
     f = spec.gamma_field
     tau = 2.7
     t = np.linspace(0, 30, 17)
@@ -100,7 +101,7 @@ def test_shift_semantics_and_composition():
 
 
 def test_positivity_on_dense_sample():
-    spec = default_paper_spec()
+    spec = ModelSpec()
     x = np.linspace(-50, 50, 200)[:, None]
     t = np.linspace(0, 200, 200)[None, :]
     for f in (spec.alpha1, spec.alpha2, spec.gamma_field, spec.death_field):
@@ -129,7 +130,7 @@ def test_harmonic_validation():
 
 
 def test_almost_period_translation():
-    spec = default_paper_spec()
+    spec = ModelSpec()
     tau = almost_period(spec.alpha2, eps=1e-3)
     t = np.linspace(0, 50, 400)
     diff = np.max(np.abs(spec.alpha2.eval(0.0, t + tau) - spec.alpha2.eval(0.0, t)))
@@ -143,7 +144,7 @@ def test_linearization_constant_matrix():
 
 def test_linearization_reference_entries():
     # a1 = alpha1*beta/N1, a2 = alpha2*beta/N1 with beta=0.6, N1=1
-    spec = default_paper_spec()
+    spec = ModelSpec()
     A = spec.linearization().eval(0.0, 0.0)
     np.testing.assert_allclose(
         A, [[-0.1, 1.5488 * 0.6], [0.216 * 0.6 * 20.0, -0.029]], rtol=0, atol=1e-12
@@ -151,7 +152,7 @@ def test_linearization_reference_entries():
 
 
 def test_cooperative_signs_random_sample(rng):
-    spec = default_paper_spec()
+    spec = ModelSpec()
     mat = spec.linearization()
     x = rng.uniform(-100, 100, 10_000)
     t = rng.uniform(0, 500, 10_000)
@@ -160,12 +161,23 @@ def test_cooperative_signs_random_sample(rng):
     assert np.all(m11 < 0) and np.all(m22 < 0)
 
 
-def test_shifted_x_recentering():
-    spec = default_paper_spec()
-    mat = spec.linearization()
-    np.testing.assert_allclose(
-        mat.shifted_x(3.0).eval(1.0, 2.0), mat.eval(4.0, 2.0), rtol=0, atol=1e-14
-    )
+def test_shift_evaluates_coefficients_at_x_plus_s(monkeypatch):
+    # the estimate for shift s sees the coefficients at x + s, not x - s
+    spec = ModelSpec()
+    seen = []
+    entries = LinearizationMatrix.entries
+
+    def spy(self, x, t):
+        seen.append(np.array(x))
+        return entries(self, x, t)
+
+    monkeypatch.setattr(LinearizationMatrix, "entries", spy)
+    L, J, s = 2.0, 16, 3.0
+    lyapunov_exponent(spec.linearization(), L, (spec.D1, spec.D2),
+                      EstimatorConfig(J=J, dt=0.5, horizon=2.0), shifts=(s,))
+    expected = -L + (2.0 * L / J) * np.arange(1, J) + s
+    assert len(seen) == 4
+    assert all(np.array_equal(x, expected) for x in seen)
 
 
 def test_constant_matrix_validation():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from wnvfront.config import (
     parse_config,
     render_config,
 )
+from wnvfront.model import ModelSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -98,15 +99,26 @@ def test_shipped_corpus_parses():
         assert cfg.model.mu == mu, name
         cfg.model_spec()  # builds and validates
     # the first corpus entry is exactly the reference parameterization
-    from wnvfront.model import default_paper_spec
-
     spec = load_config(CONFIGS / "paper_fig1a.cfg").model_spec()
-    assert spec == default_paper_spec(mu=0.1, h0=2.0)
+    assert spec == ModelSpec(mu=0.1, h0=2.0)
     # the reference file holds exactly the defaults, and every file exactly the rendered keys
     assert load_config(CONFIGS / "reference.cfg") == RunConfig()
     rendered = _keys(render_config(RunConfig()))
     for name in expected:
         assert _keys((CONFIGS / name).read_text(encoding="utf-8")) == rendered, name
+
+
+def test_render_writes_every_field():
+    # a section's keys are exactly its dataclass fields, a coefficient field as five keys
+    cfg = RunConfig()
+    written = _keys(render_config(cfg))
+    for section in fields(cfg):
+        obj = getattr(cfg, section.name)
+        values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+        plain = [n for n, v in values.items() if not isinstance(v, CoefficientField)]
+        keys = [k for s, k in written if s == section.name]
+        assert [k for k in keys if k in plain] == plain, section.name
+        assert len(keys) == len(plain) + 5 * (len(values) - len(plain)), section.name
 
 
 def _keys(text):

@@ -120,8 +120,10 @@ def test_batched_shifts_equal_worst_single_shift(kind, ref_spec):
     for shifts in ((-20.0, 0.0, 20.0), (20.0, 3.5, -5.0, -20.0)):
         for L in (0.5, 2.0):
             batched = lyapunov_exponent(mat, L, D, cfg, shifts=shifts)
-            single = [lyapunov_exponent(mat.shifted_x(s), L, D, cfg) for s in shifts]
-            assert batched == min(single, key=lambda e: e.lam)
+            single = [lyapunov_exponent(mat, L, D, cfg, shifts=(s,)) for s in shifts]
+            worst = min(single, key=lambda e: e.lam)
+            assert batched == worst
+            assert batched.shift == shifts[single.index(worst)]
 
 
 def test_batched_shifts_require_one():
@@ -131,9 +133,8 @@ def test_batched_shifts_require_one():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(dt=0.0), dict(dt=-0.1), dict(horizon=0.005), dict(J=1), dict(samples=0),
-    dict(burn_in=1.0), dict(burn_in=-0.1), dict(renorm_lo=0.0), dict(renorm_lo=1.0),
-    dict(renorm_hi=1.0), dict(tol=0.0),
+    dict(dt=0.0), dict(dt=-0.1), dict(horizon=0.005), dict(J=1), dict(renorm_lo=0.0),
+    dict(renorm_lo=1.0), dict(renorm_hi=1.0), dict(tol=0.0),
 ])
 def test_estimator_config_validation(bad):
     with pytest.raises(ValueError):

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-import wnvfront as w
 from wnvfront.coefficients import constant_field
-from wnvfront.model import InitialData, ModelSpec, default_paper_spec
+from wnvfront.model import InitialData, ModelSpec
 
 
 def test_disease_free_equilibrium():
-    spec = default_paper_spec()
+    spec = ModelSpec()
     dU, dV = spec.reaction(0.0, 0.0, 0.0, 0.0)
     assert dU == 0.0 and dV == 0.0
 
 
 def test_capacities_repel_from_above():
-    spec = default_paper_spec()
+    spec = ModelSpec()
     dU, _ = spec.reaction(0.3, 1.7, spec.N1, 5.0)
     _, dV = spec.reaction(0.3, 1.7, 0.5, spec.N2)
     assert dU < 0
@@ -24,14 +23,14 @@ def test_reaction_reference_point():
     # hand evaluation at (x,t,U,V) = (0,0,0.1,2):
     #   a1 = 1.5488*0.6 = 0.92928, d1 = 0.1  -> dU = 0.92928*0.9*2 - 0.01
     #   a2 = 0.216*0.6  = 0.1296,  d2 = 0.029 -> dV = 0.1296*18*0.1 - 0.058
-    spec = default_paper_spec()
+    spec = ModelSpec()
     dU, dV = spec.reaction(0.0, 0.0, 0.1, 2.0)
     assert dU == pytest.approx(1.662704, abs=1e-12)
     assert dV == pytest.approx(0.17528, abs=1e-12)
 
 
 def test_jacobian_matches_finite_differences():
-    spec = default_paper_spec()
+    spec = ModelSpec()
     x, t = 0.7, 3.1
     A = spec.linearization().eval(x, t)
     eps = 1e-6
@@ -44,7 +43,7 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_jacobian_off_diagonals_exact():
-    spec = default_paper_spec()
+    spec = ModelSpec()
     x, t = -1.3, 12.0
     A = spec.linearization().eval(x, t)
     assert A[0, 1] == spec.a1.eval(x, t) * spec.N1
@@ -66,7 +65,7 @@ def test_constant_coefficient_jacobian():
 
 
 def test_default_spec_parameters():
-    spec = default_paper_spec()
+    spec = ModelSpec()
     assert (spec.D1, spec.D2) == (3.0, 0.125)
     assert (spec.N1, spec.N2) == (1.0, 20.0)
     assert spec.beta == 0.6
@@ -74,7 +73,7 @@ def test_default_spec_parameters():
 
 
 def test_with_mu_with_h0():
-    spec = default_paper_spec()
+    spec = ModelSpec()
     assert spec.with_mu(0.7).mu == 0.7
     assert spec.with_h0(0.5).h0 == 0.5
     with pytest.raises(ValueError):
@@ -90,7 +89,7 @@ def test_initial_data_cosine():
 
 
 def test_initial_data_validation():
-    spec = default_paper_spec()
+    spec = ModelSpec()
     InitialData().validate(spec)
     with pytest.raises(ValueError):
         InitialData(amp_U=1.5).validate(spec)  # exceeds N1
@@ -103,6 +102,6 @@ def test_sampled_initial_data():
     U = 0.05 * np.cos(0.5 * np.pi * x)
     V = 1.0 * np.cos(0.5 * np.pi * x)
     init = InitialData.from_samples(x, U, V)
-    init.validate(w.default_paper_spec(h0=1.0))
+    init.validate(ModelSpec(h0=1.0))
     with pytest.raises(ValueError):
         InitialData.from_samples(x[::-1], U, V)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import wnvfront as w
 from wnvfront.coefficients import constant_field
 from wnvfront.model import InitialData, ModelSpec
 from wnvfront.solver import (
@@ -15,6 +14,11 @@ from wnvfront.solver import (
     step,
 )
 from wnvfront.transform import FrontGeometry
+
+
+# the unit half-width at rest, passed to _march in place of the Stefan rule
+def _frozen_fronts(t):
+    return (-1.0, 1.0, 0.0, 0.0)
 
 
 def _state(y, m, n, geom=None, t=0.0):
@@ -65,12 +69,10 @@ def test_pure_decay_matches_separated_mode():
         mu=0.1, h0=1.0,
     )
     J, dt = 200, 1e-3
-    cfg = SolverConfig(J=J, dt0=dt, dt_min=dt, dt_max=dt, t_end=1.0,
-                       prescribed_fronts=lambda t: (-1.0, 1.0, 0.0, 0.0),
-                       output_times=(1.0,))
+    cfg = SolverConfig(J=J, dt0=dt, dt_min=dt, dt_max=dt, t_end=1.0, output_times=(1.0,))
     y = np.linspace(-1, 1, J + 1)
     m0 = 0.5 * np.cos(0.5 * np.pi * y)
-    traj = _march(spec, _state(y, m0.copy(), m0.copy()), cfg)
+    traj = _march(spec, _state(y, m0.copy(), m0.copy()), cfg, fronts=_frozen_fronts)
     assert traj.status == "completed"
     final = traj.snapshots[-1]
     k = (0.5 * np.pi) ** 2
@@ -133,13 +135,11 @@ def test_symmetry_preserved_with_frozen_fronts():
         mu=0.1, h0=1.0,
     )
     J = 80
-    cfg = SolverConfig(J=J, dt0=0.01, dt_min=0.01, dt_max=0.01, t_end=2.0,
-                       prescribed_fronts=lambda t: (-1.0, 1.0, 0.0, 0.0),
-                       output_times=(2.0,))
+    cfg = SolverConfig(J=J, dt0=0.01, dt_min=0.01, dt_max=0.01, t_end=2.0, output_times=(2.0,))
     y = np.linspace(-1, 1, J + 1)
     m0 = 0.3 * np.cos(0.5 * np.pi * y)
     n0 = 0.8 * np.cos(0.5 * np.pi * y)
-    traj = _march(spec, _state(y, m0, n0), cfg)
+    traj = _march(spec, _state(y, m0, n0), cfg, fronts=_frozen_fronts)
     final = traj.snapshots[-1]
     assert np.max(np.abs(final.m - final.m[::-1])) < 1e-8
     assert np.max(np.abs(final.n - final.n[::-1])) < 1e-8
@@ -189,7 +189,7 @@ def _front_identity_gap(J, dt, t_end=40.0):
 
     so the front motion and the interior solution must agree through it.
     """
-    spec = w.default_paper_spec(mu=0.2, h0=0.6)
+    spec = ModelSpec(mu=0.2, h0=0.6)
     cfg = SolverConfig(J=J, dt0=dt, dt_min=dt, dt_max=dt, t_end=t_end)
     st = initial_state(spec, InitialData(), cfg)
     dy = 2.0 / J

@@ -8,7 +8,6 @@ from wnvfront.lyapunov import EstimatorConfig, lyapunov_constant_oracle
 from wnvfront.solver import SolverConfig, Trajectory
 from wnvfront.thresholds import (
     BadBracketError,
-    ClassifyConfig,
     LStarConfig,
     MuStarConfig,
     ProbeRecord,
@@ -113,7 +112,7 @@ class _MuProbeStub:
     def simulate(self, spec, init, cfg):
         return spec  # carry mu through
 
-    def classify(self, spec, L_star, ccfg=ClassifyConfig()):
+    def classify(self, spec, L_star):
         verdict = "Spreading" if spec.mu > self.mu_star else "Vanishing"
         return th.Classification(verdict, {})
 
@@ -140,6 +139,23 @@ def test_find_mustar_degenerate_bracket(monkeypatch, ref_spec):
         find_mu_star(ref_spec, None, (0.2, 0.1), MuStarConfig())
 
 
+def test_find_mustar_raises_at_iteration_cap(monkeypatch, ref_spec):
+    # a tolerance of 2e-16 on mu needs more halvings of 0.1 than the cap allows
+    stub = _MuProbeStub(mu_star=0.147)
+    monkeypatch.setattr(th, "simulate", stub.simulate)
+    monkeypatch.setattr(th, "classify", stub.classify)
+    with pytest.raises(th.NotConvergedError):
+        find_mu_star(ref_spec, None, (0.1, 0.2), MuStarConfig(rel_tol=1e-15))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MuStarConfig(rel_tol=0.0), lambda: LStarConfig(bracket_tol=0.0),
+])
+def test_search_tolerances_must_be_positive(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 class _SlowProbeStub(_MuProbeStub):
     """Probes stay Undetermined until the horizon reaches ``decided_at``."""
 
@@ -152,11 +168,11 @@ class _SlowProbeStub(_MuProbeStub):
         self.horizons.append(cfg.t_end)
         return spec, cfg.t_end
 
-    def classify(self, run, L_star, ccfg=ClassifyConfig()):
+    def classify(self, run, L_star):
         spec, t_end = run
         if t_end < self.decided_at:
             return th.Classification("Undetermined", {})
-        return super().classify(spec, L_star, ccfg)
+        return super().classify(spec, L_star)
 
 
 def test_find_mustar_extends_horizon_until_decided(monkeypatch, ref_spec):

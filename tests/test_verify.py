@@ -56,7 +56,7 @@ def test_comparison_ordered_pair(ref_spec, fast_solver):
 
 
 def _autonomous_spec():
-    base = w.default_paper_spec(mu=0.1, h0=2.0)
+    base = ModelSpec(mu=0.1, h0=2.0)
     strip = lambda f: replace(f, harmonics=(), _validate=False)
     return ModelSpec(
         D1=3.0, D2=0.125, N1=1.0, N2=20.0, beta=0.6,
