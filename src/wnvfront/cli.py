@@ -47,37 +47,40 @@ class _UsageError(Exception):
     pass
 
 
+# every subcommand flag, and the subcommands with the flags each one reads;
+# a flag that a subcommand would ignore is a usage error there
+_FLAGS = {
+    "--h0": dict(type=float, help="initial half-width"),
+    "--mu": dict(type=float, help="expansion rate"),
+    "--t-end": dict(type=float, help="end of the simulated time"),
+    "--grid": dict(type=int, help="spatial resolution J"),
+    "--half-width": dict(type=float, help="interval half-width L (default: h0 of the config)"),
+    "--L-list": dict(type=str, help="comma-separated half-widths"),
+    "--L-star": dict(type=float, help="critical half-width (default: find it)"),
+}
+_COMMANDS = {
+    "simulate": ("integrate the free-boundary system", ("--h0", "--mu", "--t-end", "--grid")),
+    "lyapunov": ("one principal-exponent estimate", ("--half-width",)),
+    "sweep-lambda": ("exponent sweep over half-widths", ("--L-list",)),
+    "find-lstar": ("bisect the exponent zero crossing", ()),
+    "find-mustar": ("bisect the critical expansion rate",
+                    ("--h0", "--t-end", "--grid", "--L-star")),
+    "classify": ("simulate and classify spreading/vanishing",
+                 ("--h0", "--mu", "--t-end", "--grid", "--L-star")),
+    "verify": ("convergence and comparison suites", ("--h0", "--mu")),
+    "reproduce-paper": ("run the reference experiment battery", ()),
+}
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="wnvfront", description=__doc__)
     p.add_argument("--config", type=str, default=None, help="path to a run config file")
     p.add_argument("--out", type=str, default=None, help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--h0", type=float, default=None)
-        sp.add_argument("--mu", type=float, default=None)
-        sp.add_argument("--t-end", type=float, default=None)
-        sp.add_argument("--grid", type=int, default=None, help="spatial resolution J")
-
-    sp = sub.add_parser("simulate", help="integrate the free-boundary system")
-    common(sp)
-    sp = sub.add_parser("lyapunov", help="one principal-exponent estimate")
-    common(sp)
-    sp.add_argument("--half-width", type=float, default=None, help="interval half-width L")
-    sp = sub.add_parser("sweep-lambda", help="exponent sweep over half-widths")
-    common(sp)
-    sp.add_argument("--L-list", type=str, default=None, help="comma-separated half-widths")
-    sp = sub.add_parser("find-lstar", help="bisect the exponent zero crossing")
-    common(sp)
-    sp = sub.add_parser("find-mustar", help="bisect the critical expansion rate")
-    common(sp)
-    sp.add_argument("--L-star", type=float, default=None)
-    sp = sub.add_parser("classify", help="simulate and classify spreading/vanishing")
-    common(sp)
-    sp.add_argument("--L-star", type=float, default=None)
-    sp = sub.add_parser("verify", help="convergence and comparison suites")
-    common(sp)
-    sub.add_parser("reproduce-paper", help="run the reference experiment battery")
+    for command, (help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            sp.add_argument(flag, default=None, **_FLAGS[flag])
     return p
 
 

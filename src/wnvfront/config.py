@@ -48,10 +48,11 @@ class ValidationError(ConfigError):
 
 @dataclass(frozen=True)
 class InitSection:
-    kind: str = "cosine"  # cosine | file
+    """The cosine bump of amplitudes amp_U, amp_V, or the samples in ``file`` when it is set."""
+
     amp_U: float = InitialData.amp_U
     amp_V: float = InitialData.amp_V
-    file: str = ""
+    file: str = ""  # CSV with columns x, U, V
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,10 @@ class RunConfig:
 
     def initial_data(self) -> InitialData:
         s = self.init
-        if s.kind == "cosine":
+        if not s.file:
             return InitialData(amp_U=s.amp_U, amp_V=s.amp_V)
-        if s.kind == "file":
-            data = np.genfromtxt(s.file, delimiter=",", names=True)
-            return InitialData.from_samples(data["x"], data["U"], data["V"])
-        raise ValidationError(f"unknown init kind {s.kind!r}")
+        data = np.genfromtxt(s.file, delimiter=",", names=True)
+        return InitialData.from_samples(data["x"], data["U"], data["V"])
 
     def search_estimator_config(self) -> EstimatorConfig:
         r = self.run

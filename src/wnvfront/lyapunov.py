@@ -24,6 +24,7 @@ from .solver import banded_operator
 
 BURN_IN = 0.25  # fraction of the horizon discarded before the slope is read
 SAMPLES = 400  # length of the log-norm series kept for the tail regression
+RENORM_LO, RENORM_HI = 1e-6, 1e6  # a block is renormalised when its sup norm leaves this range
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,6 @@ class EstimatorConfig:
     J: int = 256
     dt: float = 0.01
     horizon: float = 2000.0
-    renorm_lo: float = 1e-6
-    renorm_hi: float = 1e6
     tol: float = 5e-3  # CI width for the converged flag
 
     def __post_init__(self):
@@ -40,8 +39,6 @@ class EstimatorConfig:
             raise ValueError("J must be >= 2")
         if not (self.dt > 0 and self.horizon >= self.dt):
             raise ValueError("need 0 < dt <= horizon")
-        if not 0 < self.renorm_lo < 1 < self.renorm_hi:
-            raise ValueError("need 0 < renorm_lo < 1 < renorm_hi")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
 
@@ -49,7 +46,6 @@ class EstimatorConfig:
 @dataclass(frozen=True)
 class LyapunovEstimate:
     lam: float
-    horizon: float
     renorm_count: int
     tail_slope_ci: Tuple[float, float]
     converged: bool
@@ -148,7 +144,7 @@ def lyapunov_exponent(
         blocks = u.reshape(nb, -1)
         sup = np.max(np.abs(blocks), axis=1)
         for b, s in enumerate(sup.tolist()):
-            if s < cfg.renorm_lo or s > cfg.renorm_hi:
+            if s < RENORM_LO or s > RENORM_HI:
                 if np.min(blocks[b]) <= 0.0:
                     cone_ok[b] = False
                 log_acc[b] += np.log(s)
@@ -172,7 +168,6 @@ def lyapunov_exponent(
     converged = bool(cone_ok[b] and (ci[1] - ci[0]) < cfg.tol and ci[0] <= lams[b] <= ci[1])
     return LyapunovEstimate(
         lam=float(lams[b]),
-        horizon=cfg.horizon,
         renorm_count=int(renorms[b]),
         tail_slope_ci=ci,
         converged=converged,

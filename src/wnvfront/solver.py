@@ -44,6 +44,8 @@ class BoundViolationError(RuntimeError):
 
 UNDERSHOOT_TOL = 1e-10  # clip band for negative discretization noise
 OVERSHOOT_REL = 1e-8  # allowed relative excess above capacity
+NEWTON_TOL = 1e-10  # max-norm change between Newton iterates that ends a step
+MAX_NEWTON = 30  # Newton iterates before a step is rejected
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,6 @@ class SolverConfig:
     dt_min: float = 1e-8
     dt_max: float = 0.05
     t_end: float = 300.0
-    newton_tol: float = 1e-10
-    max_newton: int = 30
     output_times: Tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -73,6 +73,8 @@ class SolverConfig:
             raise ValueError("J must be >= 16")
         if not (0 < self.dt_min <= self.dt0 <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt0 <= dt_max")
+        if not self.t_end > 0:
+            raise ValueError("t_end must be positive")
         object.__setattr__(self, "output_times", tuple(self.output_times))
 
 
@@ -87,8 +89,6 @@ class Trajectory:
     hdot: np.ndarray
     sup_m: np.ndarray
     sup_n: np.ndarray
-    mass_m: np.ndarray
-    mass_n: np.ndarray
     snapshots: List[FrontState]
     status: str  # completed | blowup | step_floor
 
@@ -149,7 +149,6 @@ def step(
     spec: ModelSpec,
     state: FrontState,
     dt: float,
-    cfg: SolverConfig,
     fronts: Optional[Callable] = None,
     sources: Optional[Callable] = None,
 ) -> FrontState:
@@ -192,7 +191,7 @@ def step(
     u[0::2] = state.m[1:-1]
     u[1::2] = state.n[1:-1]
     b = np.empty_like(u)
-    for _ in range(cfg.max_newton):
+    for _ in range(MAX_NEWTON):
         m, n = u[0::2], u[1::2]
         ab = banded_operator(
             spec.D1, spec.D2, diff, adv,
@@ -207,10 +206,10 @@ def step(
             raise NonFiniteError(f"non-finite values at t={t1}")
         res = float(np.max(np.abs(u_next - u)))
         u = u_next
-        if res < cfg.newton_tol:
+        if res < NEWTON_TOL:
             break
     else:
-        raise NoConvergenceError(f"Newton iteration cap {cfg.max_newton} hit at t={t1}")
+        raise NoConvergenceError(f"Newton iteration cap {MAX_NEWTON} hit at t={t1}")
 
     m_new = np.zeros(J + 1)
     n_new = np.zeros(J + 1)
@@ -277,10 +276,9 @@ def _march(
     fronts: Optional[Callable] = None,
     sources: Optional[Callable] = None,
 ) -> Trajectory:
-    dy = 2.0 / cfg.J
     out_times = sorted(t for t in cfg.output_times if t <= cfg.t_end + 1e-12)
     snapshots: List[FrontState] = []
-    rows = {k: [] for k in ("t", "g", "h", "gdot", "hdot", "sup_m", "sup_n", "mass_m", "mass_n")}
+    rows = {k: [] for k in ("t", "g", "h", "gdot", "hdot", "sup_m", "sup_n")}
 
     def record(st: FrontState):
         rows["t"].append(st.t)
@@ -290,9 +288,6 @@ def _march(
         rows["hdot"].append(st.geom.hdot)
         rows["sup_m"].append(float(np.max(st.m)))
         rows["sup_n"].append(float(np.max(st.n)))
-        half_w = 0.5 * st.geom.width
-        rows["mass_m"].append(float(np.trapezoid(st.m, dx=dy)) * half_w)
-        rows["mass_n"].append(float(np.trapezoid(st.n, dx=dy)) * half_w)
 
     record(state)
     pending = list(out_times)
@@ -309,7 +304,7 @@ def _march(
             dt_try = min(dt_try, pending[0] - state.t)
         dt_try = max(dt_try, cfg.dt_min)
         try:
-            new_state = step(spec, state, dt_try, cfg, fronts, sources)
+            new_state = step(spec, state, dt_try, fronts, sources)
         except NonFiniteError:
             status = "blowup"
             break
@@ -337,8 +332,6 @@ def _march(
         hdot=np.array(rows["hdot"]),
         sup_m=np.array(rows["sup_m"]),
         sup_n=np.array(rows["sup_n"]),
-        mass_m=np.array(rows["mass_m"]),
-        mass_n=np.array(rows["mass_n"]),
         snapshots=snapshots,
         status=status,
     )

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import wnvfront.cli as cli
 from wnvfront.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, cli_main
+from wnvfront.config import load_config
 from wnvfront.thresholds import NotConvergedError
 
 FAST_CFG = """
@@ -133,7 +136,7 @@ def test_reproduce_paper_unconverged_mustar_is_exit_2(fast_cfg, tmp_path, monkey
 @pytest.mark.parametrize("init", [
     "kind = bogus",
     "amp_U = 5.0",
-    "kind = file\nfile = no_such_initial_data.csv",
+    "file = no_such_initial_data.csv",
 ], ids=["unknown_kind", "amp_above_capacity", "missing_file"])
 def test_bad_init_section_is_usage_error(tmp_path, init):
     bad = tmp_path / "bad.cfg"
@@ -185,12 +188,78 @@ def test_verify_comparison_data_within_capacity(tmp_path, monkeypatch):
 @pytest.mark.parametrize("setting", [
     "[lyapunov]\ndt = 0",
     "[lyapunov]\nhorizon = 0.001",
-    "[lyapunov]\nrenorm_lo = 2.0",
+    "[lyapunov]\ntol = 0",
     "[run]\nsearch_dt = 0",
     "[run]\nsearch_J = 1",
-], ids=["dt_zero", "horizon_below_dt", "renorm_lo_above_one", "search_dt_zero", "search_J_one"])
+], ids=["dt_zero", "horizon_below_dt", "tol_zero", "search_dt_zero", "search_J_one"])
 def test_bad_estimator_setting_is_usage_error(tmp_path, capsys, setting, command):
     bad = tmp_path / "bad.cfg"
     bad.write_text(FAST_CFG + setting + "\n", encoding="utf-8")
     assert cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), command]) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("classify", "t_end = 0"),
+    ("simulate", "t_end = -5"),
+], ids=["zero", "negative"])
+def test_nonpositive_t_end_is_config_error(tmp_path, capsys, command, setting):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(FAST_CFG + "[solver]\n" + setting + "\n", encoding="utf-8")
+    extra = ["--L-star", "1.27"] if command == "classify" else []
+    out = tmp_path / "o"
+    assert cli_main(["--config", str(bad), "--out", str(out), command, *extra]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lyapunov", "--grid", "64"],
+    ["find-lstar", "--t-end", "5"],
+    ["find-mustar", "--mu", "5"],
+    ["sweep-lambda", "--h0", "1"],
+    ["verify", "--grid", "10"],
+], ids=lambda argv: argv[0])
+def test_flag_the_subcommand_ignores_is_usage_error(fast_cfg, tmp_path, capsys, argv):
+    assert cli_main(["--config", fast_cfg, "--out", str(tmp_path / "o"), *argv]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [
+    "[solver]\nnewton_tol = 1e-10",
+    "[lyapunov]\nrenorm_lo = 1e-6",
+    "[init]\nkind = cosine",
+], ids=["newton_tol", "renorm_lo", "kind"])
+def test_constant_is_not_a_config_key(tmp_path, capsys, setting):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(FAST_CFG + setting + "\n", encoding="utf-8")
+    assert cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "simulate"]) == EXIT_USAGE
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_init_file_loads_samples(tmp_path):
+    # a tent on the default initial interval [-2, 2], which no cosine bump matches
+    x = np.linspace(-2.0, 2.0, 9)
+    U, V = 0.05 * (2.0 - np.abs(x)), 2.0 - np.abs(x)
+    samples = tmp_path / "init.csv"
+    np.savetxt(samples, np.column_stack([x, U, V]), delimiter=",", header="x,U,V", comments="")
+    cfg_path = tmp_path / "sampled.cfg"
+    cfg_path.write_text(FAST_CFG + f"[init]\nfile = {samples}\n", encoding="utf-8")
+    init = load_config(cfg_path).initial_data()
+    assert init.is_sampled
+    np.testing.assert_array_equal(init.u0(x, 2.0), U)
+    np.testing.assert_array_equal(init.v0(x, 2.0), V)
+    out = tmp_path / "o"
+    assert cli_main(["--config", str(cfg_path), "--out", str(out), "simulate"]) == EXIT_OK
+    snap = np.genfromtxt(out / "snapshot_0.csv", delimiter=",", names=True)
+    np.testing.assert_allclose(snap["U"], np.interp(snap["x"], x, U), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(snap["V"], np.interp(snap["x"], x, V), rtol=0, atol=1e-15)
+
+
+def test_readme_cli_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [line.split()[1:] for line in block.splitlines() if line.startswith("wnvfront ")]
+    assert len(examples) >= 8
+    for argv in examples:
+        cli._build_parser().parse_args(argv)

@@ -182,13 +182,11 @@ def _configs(draw):
     dts = sorted(draw(st.lists(st.floats(1e-8, 1.0), min_size=3, max_size=3)))
     solver = replace(
         cfg.solver, J=draw(st.integers(16, 4000)), dt_min=dts[0], dt0=dts[1], dt_max=dts[2],
-        t_end=draw(_floats), newton_tol=draw(_floats), max_newton=draw(st.integers(1, 100)),
-        output_times=draw(_tuples),
+        t_end=draw(_floats), output_times=draw(_tuples),
     )
     dt, horizon = sorted(draw(st.lists(_floats, min_size=2, max_size=2)))
     lyapunov = replace(
         cfg.lyapunov, J=draw(st.integers(2, 4000)), dt=dt, horizon=horizon, tol=draw(_floats),
-        renorm_lo=draw(st.floats(1e-12, 0.999)), renorm_hi=draw(st.floats(1.001, 1e12)),
     )
     search_dt, search_horizon = sorted(draw(st.lists(_floats, min_size=2, max_size=2)))
     run = replace(

@@ -133,8 +133,8 @@ def test_batched_shifts_require_one():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(dt=0.0), dict(dt=-0.1), dict(horizon=0.005), dict(J=1), dict(renorm_lo=0.0),
-    dict(renorm_lo=1.0), dict(renorm_hi=1.0), dict(tol=0.0),
+    dict(dt=0.0), dict(dt=-0.1), dict(horizon=0.005), dict(J=1), dict(dt=float("nan")),
+    dict(horizon=float("nan")), dict(tol=float("nan")), dict(tol=0.0),
 ])
 def test_estimator_config_validation(bad):
     with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ def test_zero_state_is_fixed_point(ref_spec):
     J = 64
     y = np.linspace(-1, 1, J + 1)
     st = _state(y, np.zeros(J + 1), np.zeros(J + 1))
-    new = step(ref_spec, st, 0.01, SolverConfig(J=J, t_end=1.0))
+    new = step(ref_spec, st, 0.01)
     assert np.all(new.m == 0.0) and np.all(new.n == 0.0)
     assert new.geom.hdot == 0.0 and new.geom.gdot == 0.0
     assert new.geom.h == st.geom.h and new.geom.g == st.geom.g
@@ -116,7 +116,7 @@ def test_step_solves_backward_euler_system(ref_spec):
     Acoef, Bcoef = state.geom.metric_terms(state.y[1:-1])
     x = state.geom.to_x(state.y[1:-1])
     for dt in (0.05, 0.5):
-        new = step(ref_spec, state, dt, cfg)
+        new = step(ref_spec, state, dt)
         fU, fV = ref_spec.reaction(x, new.t, new.m[1:-1], new.n[1:-1])
         for D, u, u_old, f in ((ref_spec.D1, new.m, state.m, fU),
                                (ref_spec.D2, new.n, state.n, fV)):
@@ -177,6 +177,9 @@ def test_solver_config_validation():
         SolverConfig(J=4, t_end=1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt0=1e-9, dt_min=1e-3, t_end=1.0)
+    for t_end in (0.0, -5.0, float("nan")):
+        with pytest.raises(ValueError):
+            SolverConfig(t_end=t_end)
 
 
 def _front_identity_gap(J, dt, t_end=40.0):
@@ -201,7 +204,7 @@ def _front_identity_gap(J, dt, t_end=40.0):
     source = 0.0
     for _ in range(int(round(t_end / dt))):
         geom = st.geom  # the step solves on the geometry frozen at its start
-        st = step(spec, st, dt, cfg)
+        st = step(spec, st, dt)
         dU, _ = spec.reaction(geom.to_x(st.y), st.t, st.m, st.n)
         source += dt * np.trapezoid(dU, dx=dy) * 0.5 * geom.width
     lhs = spec.D1 / spec.mu * (st.geom.width - 2.0 * spec.h0)

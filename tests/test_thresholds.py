@@ -26,7 +26,7 @@ def _traj(t, width, sup):
     zeros = np.zeros_like(t)
     return Trajectory(
         t=t, g=-0.5 * width, h=0.5 * width, gdot=zeros, hdot=zeros,
-        sup_m=sup.copy(), sup_n=sup.copy(), mass_m=zeros, mass_n=zeros,
+        sup_m=sup.copy(), sup_n=sup.copy(),
         snapshots=[], status="completed",
     )
 
