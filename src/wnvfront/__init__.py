@@ -27,6 +27,7 @@ from .lyapunov import (
 from .thresholds import (
     BadBracketError,
     Classification,
+    FailedRunError,
     LStarConfig,
     MuStarConfig,
     NotConvergedError,

@@ -47,8 +47,7 @@ class _UsageError(Exception):
     pass
 
 
-# every subcommand flag, and the subcommands with the flags each one reads;
-# a flag that a subcommand would ignore is a usage error there
+# every subcommand flag; _COMMANDS lists the flags each subcommand reads
 _FLAGS = {
     "--h0": dict(type=float, help="initial half-width"),
     "--mu": dict(type=float, help="expansion rate"),
@@ -58,30 +57,6 @@ _FLAGS = {
     "--L-list": dict(type=str, help="comma-separated half-widths"),
     "--L-star": dict(type=float, help="critical half-width (default: find it)"),
 }
-_COMMANDS = {
-    "simulate": ("integrate the free-boundary system", ("--h0", "--mu", "--t-end", "--grid")),
-    "lyapunov": ("one principal-exponent estimate", ("--half-width",)),
-    "sweep-lambda": ("exponent sweep over half-widths", ("--L-list",)),
-    "find-lstar": ("bisect the exponent zero crossing", ()),
-    "find-mustar": ("bisect the critical expansion rate",
-                    ("--h0", "--t-end", "--grid", "--L-star")),
-    "classify": ("simulate and classify spreading/vanishing",
-                 ("--h0", "--mu", "--t-end", "--grid", "--L-star")),
-    "verify": ("convergence and comparison suites", ("--h0", "--mu")),
-    "reproduce-paper": ("run the reference experiment battery", ()),
-}
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(prog="wnvfront", description=__doc__)
-    p.add_argument("--config", type=str, default=None, help="path to a run config file")
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    sub = p.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
-        for flag in flags:
-            sp.add_argument(flag, default=None, **_FLAGS[flag])
-    return p
 
 
 def _override(section, **values):
@@ -107,18 +82,15 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _solver_config(cfg: RunConfig):
-    """The [solver] section, with seven evenly spaced snapshots when none are listed."""
-    if cfg.solver.output_times:
-        return cfg.solver
-    return replace(cfg.solver, output_times=tuple(np.linspace(0.0, cfg.solver.t_end, 7)))
-
-
 def _simulate(cfg: RunConfig):
-    return simulate(cfg.model_spec(), cfg.initial_data(), _solver_config(cfg))
+    """simulate on the [solver] section, with seven evenly spaced snapshots when none are listed."""
+    scfg = cfg.solver
+    if not scfg.output_times:
+        scfg = replace(scfg, output_times=tuple(np.linspace(0.0, scfg.t_end, 7)))
+    return simulate(cfg.model_spec(), cfg.initial_data(), scfg)
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     traj = _simulate(cfg)
     write_trajectory_csv(traj, out)
@@ -129,19 +101,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK if traj.status == "completed" else EXIT_NUMERICAL
 
 
-def cmd_lyapunov(cfg: RunConfig, half_width: Optional[float]) -> int:
+def cmd_lyapunov(cfg: RunConfig, args) -> int:
     spec = cfg.model_spec()
-    L = half_width if half_width is not None else spec.h0
+    L = args.half_width if args.half_width is not None else spec.h0
     est = lyapunov_exponent(spec.linearization(), L, (spec.D1, spec.D2), cfg.lyapunov)
     print(f"lambda={est.lam:.6f} L={L:g} ci=({est.tail_slope_ci[0]:.6f},"
           f"{est.tail_slope_ci[1]:.6f}) converged={est.converged}")
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, l_list: Optional[str]) -> int:
+def cmd_sweep(cfg: RunConfig, args) -> int:
     spec = cfg.model_spec()
-    if l_list:
-        Ls = [float(v) for v in l_list.split(",")]
+    if args.L_list:
+        Ls = [float(v) for v in args.L_list.split(",")]
     elif cfg.run.L_list:
         Ls = list(cfg.run.L_list)
     else:
@@ -168,48 +140,51 @@ def _find_lstar(cfg: RunConfig):
     return find_L_star(spec.linearization(), (spec.D1, spec.D2), (cfg.run.L_lo, cfg.run.L_hi), lcfg)
 
 
-def _write_transcript(out: Path, transcript) -> None:
+def _resolve_lstar(cfg: RunConfig, args) -> float:
+    return args.L_star if args.L_star is not None else _find_lstar(cfg)[0]
+
+
+def _classify(cfg: RunConfig, L_star: float):
+    return classify(_simulate(cfg), L_star)
+
+
+def _find_mustar(cfg: RunConfig, L_star: float):
+    """find_mu_star on the [run] bracket with [solver] probes, writing its transcript.
+
+    Returns (mu_star, iterations, transcript monotone).
+    """
+    mcfg = MuStarConfig(solver=cfg.solver, L_star=L_star)
+    mu_star, iters, transcript = find_mu_star(
+        cfg.model_spec(), cfg.initial_data(), (cfg.run.mu_lo, cfg.run.mu_hi), mcfg
+    )
     write_csv(
-        out / "mustar_transcript.csv",
+        _outdir(cfg) / "mustar_transcript.csv",
         ["mu", "spreading", "t_end"],
         [(r.mu, 1.0 if r.verdict == "Spreading" else 0.0, r.t_end) for r in transcript],
     )
+    return mu_star, iters, transcript_monotone(transcript)
 
 
-def cmd_find_lstar(cfg: RunConfig) -> int:
+def cmd_find_lstar(cfg: RunConfig, args) -> int:
     L_star, iters = _find_lstar(cfg)
     print(f"L_star={L_star:.4f} iterations={iters}")
     return EXIT_OK
 
 
-def _resolve_lstar(cfg: RunConfig, given: Optional[float]) -> float:
-    return given if given is not None else _find_lstar(cfg)[0]
-
-
-def cmd_find_mustar(cfg: RunConfig, l_star: Optional[float]) -> int:
-    L_star = _resolve_lstar(cfg, l_star)
-    mcfg = MuStarConfig(solver=cfg.solver, L_star=L_star)
-    mu_star, iters, transcript = find_mu_star(
-        cfg.model_spec(), cfg.initial_data(), (cfg.run.mu_lo, cfg.run.mu_hi), mcfg
-    )
-    _write_transcript(_outdir(cfg), transcript)
-    print(f"mu_star={mu_star:.4f} iterations={iters} monotone={transcript_monotone(transcript)}")
+def cmd_find_mustar(cfg: RunConfig, args) -> int:
+    mu_star, iters, monotone = _find_mustar(cfg, _resolve_lstar(cfg, args))
+    print(f"mu_star={mu_star:.4f} iterations={iters} monotone={monotone}")
     return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig, l_star: Optional[float]) -> int:
-    L_star = _resolve_lstar(cfg, l_star)
-    traj = _simulate(cfg)
-    if traj.status != "completed":
-        print(f"numerical failure: status={traj.status}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    cls = classify(traj, L_star)
+def cmd_classify(cfg: RunConfig, args) -> int:
+    cls = _classify(cfg, _resolve_lstar(cfg, args))
     print(f"verdict={cls.verdict} final_width={cls.evidence['final_width']:.4f} "
           f"supU={cls.evidence['final_sup_U']:.3e}")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     rows = manufactured_convergence()
     write_csv(
@@ -234,35 +209,23 @@ def cmd_verify(cfg: RunConfig) -> int:
     # an ordered pair within capacity: 8 % and 12 % of N1, 7.5 % and 11.25 % of N2
     base = InitialData(amp_U=0.08 * spec.N1, amp_V=1.5 * spec.N2 / 20.0)
     upper = InitialData(amp_U=0.12 * spec.N1, amp_V=2.25 * spec.N2 / 20.0)
-    report = comparison_suite(spec, [(base, upper)], scfg)
+    report = comparison_suite(spec, base, upper, scfg)
     print(f"comparison passed={report['passed']}")
     ok = ok and report["passed"]
     print(f"verify {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_reproduce_paper(cfg: RunConfig) -> int:
+def cmd_reproduce_paper(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
-    scfg = _solver_config(cfg)
-
-    base_spec = cfg.model_spec()
     print("estimating exponent-based critical half-width ...")
-    try:
-        L_star, _ = _find_lstar(cfg)
-    except (BadBracketError, NotConvergedError) as e:
-        print(f"numerical failure in L* search: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    L_star, _ = _find_lstar(cfg)
     print(f"  L_star(lambda) = {L_star:.4f}")
 
     verdicts = {}
     rows = []
     for h0, mu in CASES:
-        spec = base_spec.with_h0(h0).with_mu(mu)
-        traj = simulate(spec, cfg.initial_data(), scfg)
-        if traj.status != "completed":
-            print(f"numerical failure: case h0={h0} mu={mu} status={traj.status}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        cls = classify(traj, L_star)
+        cls = _classify(replace(cfg, model=cfg.model.with_h0(h0).with_mu(mu)), L_star)
         verdicts[(h0, mu)] = cls.verdict
         rows.append((h0, mu, 1.0 if cls.verdict == "Spreading" else 0.0,
                      cls.evidence["final_width"], cls.evidence["final_sup_U"]))
@@ -274,23 +237,16 @@ def cmd_reproduce_paper(cfg: RunConfig) -> int:
     bracket_ok = not np.isnan(L_bracket[0])
     print(f"  half-width threshold bracket from verdicts: ({L_bracket[0]:g}, {L_bracket[1]:g})")
 
-    mcfg = MuStarConfig(solver=scfg, L_star=L_star)
     mu_bracket = (cfg.run.mu_lo, cfg.run.mu_hi)
     mu_star = float("nan")
     monotone = True
     mu_bracket_ok = True
     try:
-        mu_star, _, transcript = find_mu_star(
-            base_spec.with_h0(MU_STAR_H0), cfg.initial_data(), mu_bracket, mcfg
-        )
-        monotone = transcript_monotone(transcript)
-        _write_transcript(out, transcript)
+        mu_star, _, monotone = _find_mustar(replace(cfg, model=cfg.model.with_h0(MU_STAR_H0)),
+                                            L_star)
     except BadBracketError as e:
         mu_bracket_ok = False
         print(f"mu bracket does not straddle the threshold: {e}", file=sys.stderr)
-    except NotConvergedError as e:
-        print(f"numerical failure in mu* search: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
     print(f"  mu threshold bracket: ({mu_bracket[0]:g}, {mu_bracket[1]:g}), "
           f"refined mu_star={mu_star:.4f}, transcript monotone={monotone}")
 
@@ -306,6 +262,36 @@ def cmd_reproduce_paper(cfg: RunConfig) -> int:
     return EXIT_OK if (regimes_ok and bracket_ok and mu_bracket_ok and monotone) else EXIT_VERIFY
 
 
+# each subcommand: its handler, its help and the flags it reads; a flag that
+# a subcommand would ignore is a usage error there
+_COMMANDS = {
+    "simulate": (cmd_simulate, "integrate the free-boundary system",
+                 ("--h0", "--mu", "--t-end", "--grid")),
+    "lyapunov": (cmd_lyapunov, "one principal-exponent estimate", ("--half-width",)),
+    "sweep-lambda": (cmd_sweep, "exponent sweep over half-widths", ("--L-list",)),
+    "find-lstar": (cmd_find_lstar, "bisect the exponent zero crossing", ()),
+    "find-mustar": (cmd_find_mustar, "bisect the critical expansion rate",
+                    ("--h0", "--t-end", "--grid", "--L-star")),
+    "classify": (cmd_classify, "simulate and classify spreading/vanishing",
+                 ("--h0", "--mu", "--t-end", "--grid", "--L-star")),
+    "verify": (cmd_verify, "convergence and comparison suites", ("--h0", "--mu")),
+    "reproduce-paper": (cmd_reproduce_paper, "run the reference experiment battery", ()),
+}
+
+
+def _build_parser() -> _Parser:
+    p = _Parser(prog="wnvfront", description=__doc__)
+    p.add_argument("--config", type=str, default=None, help="path to a run config file")
+    p.add_argument("--out", type=str, default=None, help="output directory")
+    sub = p.add_subparsers(dest="command", required=True)
+    for command, (handler, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.set_defaults(handler=handler)
+        for flag in flags:
+            sp.add_argument(flag, default=None, **_FLAGS[flag])
+    return p
+
+
 def cli_main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -318,31 +304,15 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "lyapunov":
-            return cmd_lyapunov(cfg, args.half_width)
-        if args.command == "sweep-lambda":
-            return cmd_sweep(cfg, args.L_list)
-        if args.command == "find-lstar":
-            return cmd_find_lstar(cfg)
-        if args.command == "find-mustar":
-            return cmd_find_mustar(cfg, args.L_star)
-        if args.command == "classify":
-            return cmd_classify(cfg, args.L_star)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "reproduce-paper":
-            return cmd_reproduce_paper(cfg)
+        return args.handler(cfg, args)
     except (BadBracketError, NotConvergedError, ArithmeticError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as e:
-        # inputs the config cannot check alone, such as --half-width -1, or
-        # verify's comparison data above a small capacity N1
+        # inputs the config cannot check alone, such as --half-width -1 or
+        # --L-star nan, or verify's comparison data above a small capacity N1
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 def main() -> int:

@@ -166,11 +166,6 @@ class LinearizationMatrix:
             -self.d2.eval(x, t),
         )
 
-    def eval(self, x: float, t: float) -> np.ndarray:
-        """The matrix at a single point, shape (2, 2)."""
-        m11, m12, m21, m22 = self.entries(x, t)
-        return np.array([[m11, m12], [m21, m22]], dtype=float)
-
     @property
     def is_autonomous(self) -> bool:
         return all(f.is_autonomous for f in (self.a1, self.a2, self.d1, self.d2))

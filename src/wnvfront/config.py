@@ -54,6 +54,10 @@ class InitSection:
     amp_V: float = InitialData.amp_V
     file: str = ""  # CSV with columns x, U, V
 
+    def __post_init__(self):
+        if self.file and (self.amp_U, self.amp_V) != (InitialData.amp_U, InitialData.amp_V):
+            raise ValueError("amp_U and amp_V set the cosine bump, which [init] file replaces")
+
 
 @dataclass(frozen=True)
 class RunSection:
@@ -204,7 +208,20 @@ def _validated(build, *args, **kwargs):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse config text; raises ParseError (syntax/unknown keys) or ValidationError."""
+    """Parse config text; raises ParseError (syntax/unknown keys) or ValidationError.
+
+    A relative [init] file is read from the working directory.
+    """
+    return _parse(text, Path())
+
+
+def load_config(path) -> RunConfig:
+    """Parse a config file; a relative [init] file is taken from the file's directory."""
+    path = Path(path).absolute()
+    return _parse(path.read_text(encoding="utf-8"), path.parent)
+
+
+def _parse(text: str, root: Path) -> RunConfig:
     sections = {name: {} for name in _SECTIONS}
     current = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -240,6 +257,8 @@ def parse_config(text: str) -> RunConfig:
         if pending:
             key, (_, line_no) = next(iter(pending.items()))
             raise ParseError(f"unknown key {key!r} in section [{section_name}]", line_no)
+        if section_name == "init" and kwargs.get("file"):
+            kwargs["file"] = str(root / kwargs["file"])
         built[section_name] = _validated(cls, **kwargs)
     cfg = RunConfig(**built)
     _validated(lambda: cfg.initial_data().validate(cfg.model))
@@ -249,6 +268,3 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError(f"[run] search estimator: {e}") from e
     return cfg
 
-
-def load_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))

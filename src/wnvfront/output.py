@@ -62,33 +62,35 @@ def _scale(vals, lo, hi, out_lo, out_hi):
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def svg_line_chart(
-    series: Sequence[Tuple[str, np.ndarray, np.ndarray]],
-    path,
-    title: str = "",
-    log_y: bool = False,
-) -> Path:
-    """Write a line chart; series is a list of (label, xs, ys)."""
-    if not series or any(len(xs) == 0 for _, xs, _ in series):
-        raise ValueError("cannot plot empty series")
-    processed = []
-    for label, xs, ys in series:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if log_y:
-            keep = ys > 0
-            xs, ys = xs[keep], np.log10(ys[keep])
-        processed.append((label, xs, ys))
-    x_lo = min(float(np.min(xs)) for _, xs, _ in processed if len(xs))
-    x_hi = max(float(np.max(xs)) for _, xs, _ in processed if len(xs))
-    y_lo = min(float(np.min(ys)) for _, _, ys in processed if len(ys))
-    y_hi = max(float(np.max(ys)) for _, _, ys in processed if len(ys))
-
+def _write_svg(path, title: str, body: List[str]) -> Path:
+    """Write one chart: ``body`` on a white background under ``title``."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        *body,
+        "</svg>",
+    ]
+    path = Path(path)
+    path.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
+    return path
+
+
+def svg_line_chart(
+    series: Sequence[Tuple[str, np.ndarray, np.ndarray]], path, title: str = ""
+) -> Path:
+    """Write a line chart; series is a list of (label, xs, ys)."""
+    if not series or any(len(xs) == 0 for _, xs, _ in series):
+        raise ValueError("cannot plot empty series")
+    series = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for label, xs, ys in series]
+    x_lo = min(float(np.min(xs)) for _, xs, _ in series)
+    x_hi = max(float(np.max(xs)) for _, xs, _ in series)
+    y_lo = min(float(np.min(ys)) for _, _, ys in series)
+    y_hi = max(float(np.max(ys)) for _, _, ys in series)
+
+    body = [
         f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>',
         f'<text x="{_ML}" y="{_H - 8}" font-size="11">{x_lo:.4g}</text>',
@@ -96,22 +98,17 @@ def svg_line_chart(
         f'<text x="4" y="{_H - _MB}" font-size="11">{y_lo:.4g}</text>',
         f'<text x="4" y="{_MT + 10}" font-size="11">{y_hi:.4g}</text>',
     ]
-    for i, (label, xs, ys) in enumerate(processed):
-        if len(xs) == 0:
-            continue
+    for i, (label, xs, ys) in enumerate(series):
         px = _scale(xs, x_lo, x_hi, _ML, _W - _MR)
         py = _scale(ys, y_lo, y_hi, _H - _MB, _MT)
         pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         color = _PALETTE[i % len(_PALETTE)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
+        body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        body.append(
             f'<text x="{_W - _MR - 100}" y="{_MT + 14 * (i + 1)}" font-size="11" '
             f'fill="{color}">{label}</text>'
         )
-    parts.append("</svg>")
-    path = Path(path)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return _write_svg(path, title, body)
 
 
 def _downsample(M: np.ndarray, max_cells: int = 300) -> np.ndarray:
@@ -141,12 +138,7 @@ def svg_heatmap(M: np.ndarray, path, title: str = "") -> Path:
     rows, cols = M.shape
     cw = (_W - _ML - _MR) / cols
     ch = (_H - _MT - _MB) / rows
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-    ]
+    body = []
     for i in range(rows):
         for j in range(cols):
             v = M[i, j]
@@ -156,14 +148,11 @@ def svg_heatmap(M: np.ndarray, path, title: str = "") -> Path:
             color = f"rgb({shade},{shade},255)"
             x = _ML + j * cw
             yy = _MT + i * ch
-            parts.append(
+            body.append(
                 f'<rect x="{x:.2f}" y="{yy:.2f}" width="{cw + 0.5:.2f}" '
                 f'height="{ch + 0.5:.2f}" fill="{color}"/>'
             )
-    parts.append("</svg>")
-    path = Path(path)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return _write_svg(path, title, body)
 
 
 def trajectory_heatmap_matrix(traj: Trajectory, n_x: int = 300):

@@ -278,16 +278,12 @@ def _march(
 ) -> Trajectory:
     out_times = sorted(t for t in cfg.output_times if t <= cfg.t_end + 1e-12)
     snapshots: List[FrontState] = []
-    rows = {k: [] for k in ("t", "g", "h", "gdot", "hdot", "sup_m", "sup_n")}
+    rows = []  # one (t, g, h, gdot, hdot, sup_m, sup_n) per accepted state, as in Trajectory
 
     def record(st: FrontState):
-        rows["t"].append(st.t)
-        rows["g"].append(st.geom.g)
-        rows["h"].append(st.geom.h)
-        rows["gdot"].append(st.geom.gdot)
-        rows["hdot"].append(st.geom.hdot)
-        rows["sup_m"].append(float(np.max(st.m)))
-        rows["sup_n"].append(float(np.max(st.n)))
+        geom = st.geom
+        rows.append((st.t, geom.g, geom.h, geom.gdot, geom.hdot,
+                     float(np.max(st.m)), float(np.max(st.n))))
 
     record(state)
     pending = list(out_times)
@@ -324,14 +320,4 @@ def _march(
         if accepted_run >= 5:
             dt = min(dt * 1.2, cfg.dt_max)
             accepted_run = 0
-    return Trajectory(
-        t=np.array(rows["t"]),
-        g=np.array(rows["g"]),
-        h=np.array(rows["h"]),
-        gdot=np.array(rows["gdot"]),
-        hdot=np.array(rows["hdot"]),
-        sup_m=np.array(rows["sup_m"]),
-        sup_n=np.array(rows["sup_n"]),
-        snapshots=snapshots,
-        status=status,
-    )
+    return Trajectory(*(np.array(col) for col in zip(*rows)), snapshots=snapshots, status=status)

@@ -40,6 +40,10 @@ class NotConvergedError(RuntimeError):
     """Search aborted without meeting its stopping rule."""
 
 
+class FailedRunError(ArithmeticError):
+    """A trajectory to classify ended before its horizon (status blowup or step_floor)."""
+
+
 @dataclass(frozen=True)
 class Classification:
     verdict: str  # Spreading | Vanishing | Undetermined
@@ -48,8 +52,10 @@ class Classification:
 
 def classify(traj: Trajectory, L_star: float) -> Classification:
     """Classify a completed trajectory against the finite-horizon evidence rules."""
+    if not 0 < L_star < np.inf:
+        raise ValueError(f"L_star must be positive and finite, got {L_star}")
     if traj.status != "completed":
-        raise ValueError(f"cannot classify a trajectory with status {traj.status!r}")
+        raise FailedRunError(f"cannot classify a trajectory with status {traj.status!r}")
     t = traj.t
     span = t[-1] - t[0]
     tail = t >= t[-1] - WINDOW_FRAC * span
@@ -134,6 +140,8 @@ class MuStarConfig:
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
+        if not 0 < self.L_star < np.inf:
+            raise ValueError(f"L_star must be positive and finite, got {self.L_star}")
 
 
 @dataclass(frozen=True)

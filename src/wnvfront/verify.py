@@ -137,47 +137,36 @@ def observed_orders(rows: Sequence[Dict[str, float]], study: str) -> List[float]
 
 
 def comparison_suite(
-    spec: ModelSpec,
-    pairs: Sequence[Tuple[InitialData, InitialData]],
-    cfg: SolverConfig,
+    spec: ModelSpec, init_lo: InitialData, init_hi: InitialData, cfg: SolverConfig,
     tol: float = 1e-8,
 ) -> Dict[str, object]:
-    """Run ordered pairs (lower, upper) and check field and front ordering.
+    """Run an ordered pair of initial data and check field and front ordering.
 
     Fields are compared on the lower run's physical points via cubic
     interpolation of the upper run; fronts compare at every accepted
     step (fixed-dt configs keep the two runs in lockstep).
     """
-    cases = []
-    all_pass = True
-    for idx, (init_lo, init_hi) in enumerate(pairs):
-        traj_lo = simulate(spec, init_lo, cfg)
-        traj_hi = simulate(spec, init_hi, cfg)
-        n = min(len(traj_lo.t), len(traj_hi.t))
-        front_margin = min(
-            float(np.min(traj_hi.h[:n] - traj_lo.h[:n])),
-            float(np.min(traj_lo.g[:n] - traj_hi.g[:n])),
-        )
-        field_margin = np.inf
-        for st_lo, st_hi in zip(traj_lo.snapshots, traj_hi.snapshots):
-            x_lo = st_lo.geom.to_x(st_lo.y)
-            x_hi = st_hi.geom.to_x(st_hi.y)
-            for lo_vals, hi_vals in ((st_lo.m, st_hi.m), (st_lo.n, st_hi.n)):
-                hi_interp = CubicSpline(x_hi, hi_vals)(x_lo)
-                field_margin = min(field_margin, float(np.min(hi_interp - lo_vals)))
-        ok = front_margin >= -tol and field_margin >= -tol
-        all_pass = all_pass and ok
-        cases.append(
-            {
-                "pair": idx,
-                "passed": ok,
-                "front_margin": front_margin,
-                "field_margin": float(field_margin),
-                "status_lo": traj_lo.status,
-                "status_hi": traj_hi.status,
-            }
-        )
-    return {"passed": all_pass, "cases": cases, "tolerance": tol}
+    traj_lo = simulate(spec, init_lo, cfg)
+    traj_hi = simulate(spec, init_hi, cfg)
+    n = min(len(traj_lo.t), len(traj_hi.t))
+    front_margin = min(
+        float(np.min(traj_hi.h[:n] - traj_lo.h[:n])),
+        float(np.min(traj_lo.g[:n] - traj_hi.g[:n])),
+    )
+    field_margin = np.inf
+    for st_lo, st_hi in zip(traj_lo.snapshots, traj_hi.snapshots):
+        x_lo = st_lo.geom.to_x(st_lo.y)
+        x_hi = st_hi.geom.to_x(st_hi.y)
+        for lo_vals, hi_vals in ((st_lo.m, st_hi.m), (st_lo.n, st_hi.n)):
+            hi_interp = CubicSpline(x_hi, hi_vals)(x_lo)
+            field_margin = min(field_margin, float(np.min(hi_interp - lo_vals)))
+    return {
+        "passed": front_margin >= -tol and field_margin >= -tol,
+        "front_margin": front_margin,
+        "field_margin": float(field_margin),
+        "status_lo": traj_lo.status,
+        "status_hi": traj_hi.status,
+    }
 
 
 def probe_series(traj: Trajectory, x_probe: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

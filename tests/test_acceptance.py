@@ -192,10 +192,10 @@ def test_criterion_06_comparison_principle(ref_spec):
                        output_times=(10.0, 25.0, 50.0))
     lo = InitialData(amp_U=0.1, amp_V=2.0)
     hi = InitialData(amp_U=0.15, amp_V=3.0)
-    report = comparison_suite(ref_spec, [(lo, hi)], cfg, tol=1e-8)
-    case = report["cases"][0]
+    report = comparison_suite(ref_spec, lo, hi, cfg, tol=1e-8)
     _report(6, "comparison principle for ordered data to t=50", bool(report["passed"]),
-            f"front margin {case['front_margin']:.2e}, field margin {case['field_margin']:.2e}")
+            f"front margin {report['front_margin']:.2e}, "
+            f"field margin {report['field_margin']:.2e}")
 
 
 def test_criterion_07_convergence_orders():

@@ -1,12 +1,15 @@
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wnvfront.cli as cli
+import wnvfront.thresholds as th
 from wnvfront.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, cli_main
 from wnvfront.config import load_config
-from wnvfront.thresholds import NotConvergedError
+from wnvfront.thresholds import NotConvergedError, ProbeRecord
 
 FAST_CFG = """
 [solver]
@@ -116,7 +119,7 @@ def test_verify_failure_is_exit_3(tmp_path, monkeypatch):
     ]
     monkeypatch.setattr(cli, "manufactured_convergence", lambda: bad_rows)
     monkeypatch.setattr(cli, "comparison_suite",
-                        lambda *a, **k: {"passed": True, "cases": [], "tolerance": 0.0})
+                        lambda *a, **k: {"passed": True})
     rc = cli_main(["--out", str(tmp_path / "v"), "verify"])
     assert rc == EXIT_VERIFY
 
@@ -155,7 +158,7 @@ def test_verify_uses_config_model(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "manufactured_convergence", lambda: good_rows)
     monkeypatch.setattr(cli, "comparison_suite",
-                        lambda spec, *a, **k: seen.append(spec) or {"passed": True, "cases": []})
+                        lambda spec, *a, **k: seen.append(spec) or {"passed": True})
     cfg = tmp_path / "model.cfg"
     cfg.write_text("[model]\nD1 = 2.0\nalpha1_base = 0.5\nh0 = 0.6\n", encoding="utf-8")
     assert cli_main(["--config", str(cfg), "--out", str(tmp_path / "v"), "verify"]) == EXIT_OK
@@ -173,12 +176,12 @@ def test_verify_comparison_data_within_capacity(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "manufactured_convergence", lambda: [])
     monkeypatch.setattr(cli, "comparison_suite",
-                        lambda spec, pairs, *a, **k: seen.append((spec, pairs))
-                        or {"passed": True, "cases": []})
+                        lambda spec, lo, hi, *a, **k: seen.append((spec, lo, hi))
+                        or {"passed": True})
     cfg = tmp_path / "small.cfg"
     cfg.write_text("[model]\nN1 = 0.1\nN2 = 5.0\n", encoding="utf-8")
     assert cli_main(["--config", str(cfg), "--out", str(tmp_path / "v"), "verify"]) == EXIT_OK
-    ((spec, [(lo, hi)]),) = seen
+    ((spec, lo, hi),) = seen
     for init in (lo, hi):
         init.validate(spec)
     assert lo.amp_U < hi.amp_U and lo.amp_V < hi.amp_V
@@ -256,10 +259,93 @@ def test_init_file_loads_samples(tmp_path):
     np.testing.assert_allclose(snap["V"], np.interp(snap["x"], x, V), rtol=0, atol=1e-15)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_cli_examples_parse():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     examples = [line.split()[1:] for line in block.splitlines() if line.startswith("wnvfront ")]
     assert len(examples) >= 8
     for argv in examples:
         cli._build_parser().parse_args(argv)
+
+
+def test_readme_cli_table_matches_commands():
+    # each row: `name`[, `name`] | `--flag ...` and a remark, or "none"
+    table = README.read_text(encoding="utf-8").split("| subcommand | flags |", 1)[1]
+    documented = {}
+    for row in table.split("\n\n", 1)[0].splitlines():
+        if not row.startswith("| `"):
+            continue
+        _, names, flags, _ = row.split("|")
+        listed = re.match(r"\s*`([^`]*)`", flags)
+        for name in re.findall(r"`([^`]+)`", names):
+            documented[name] = tuple(listed.group(1).split()) if listed else ()
+    assert documented == {name: flags for name, (_, _, flags) in cli._COMMANDS.items()}
+
+
+def _failed(run):
+    """run, with the trajectory it returns marked as a blow-up."""
+    return lambda *a, **k: replace(run(*a, **k), status="blowup")
+
+
+def test_failed_mustar_probe_is_exit_2(fast_cfg, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(th, "simulate", _failed(th.simulate))
+    rc = cli_main(["--config", fast_cfg, "--out", str(tmp_path / "m"), "find-mustar",
+                   "--h0", "0.6", "--t-end", "2", "--grid", "32", "--L-star", "1.27"])
+    assert rc == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_failed_regime_run_in_reproduce_paper_is_exit_2(fast_cfg, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "find_L_star", lambda *a, **k: (1.27, 0))
+    monkeypatch.setattr(cli, "simulate", _failed(cli.simulate))
+    out = tmp_path / "r"
+    assert cli_main(["--config", fast_cfg, "--out", str(out), "reproduce-paper"]) == EXIT_NUMERICAL
+    assert not (out / "summary.csv").exists()
+
+
+def test_reproduce_paper_searches_mustar_as_find_mustar_does(fast_cfg, tmp_path, monkeypatch):
+    seen = []
+
+    def spy(spec, init, bracket, mcfg):
+        seen.append((spec, bracket, mcfg))
+        return 0.5, 1, [ProbeRecord(0.1, "Vanishing", 3.0), ProbeRecord(1.0, "Spreading", 3.0)]
+
+    monkeypatch.setattr(cli, "find_L_star", lambda *a, **k: (1.27, 0))
+    monkeypatch.setattr(cli, "find_mu_star", spy)
+    cli_main(["--config", fast_cfg, "--out", str(tmp_path / "r"), "reproduce-paper"])
+    assert cli_main(["--config", fast_cfg, "--out", str(tmp_path / "m"), "find-mustar",
+                     "--h0", "0.6", "--L-star", "1.27"]) == EXIT_OK
+    (repro_spec, repro_bracket, repro), (spec, bracket, direct) = seen
+    assert repro.solver == direct.solver == load_config(fast_cfg).solver
+    assert (repro_spec, repro_bracket, repro) == (spec, bracket, direct)
+
+
+@pytest.mark.parametrize("command", ["classify", "find-mustar"])
+@pytest.mark.parametrize("l_star", ["-1", "nan"])
+def test_invalid_lstar_is_usage_error(fast_cfg, tmp_path, monkeypatch, capsys, command, l_star):
+    # find-mustar fails before its first probe
+    monkeypatch.setattr(th, "simulate", lambda *a, **k: pytest.fail("a mu* probe ran"))
+    rc = cli_main(["--config", fast_cfg, "--out", str(tmp_path / "o"), command,
+                   "--L-star", l_star, "--t-end", "5", "--grid", "32"])
+    assert rc == EXIT_USAGE
+    assert "L_star must be positive and finite" in capsys.readouterr().err
+
+
+def test_relative_init_file_and_recorded_config(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    x = np.linspace(-2.0, 2.0, 9)
+    U, V = 0.05 * (2.0 - np.abs(x)), 2.0 - np.abs(x)
+    np.savetxt(sub / "tent.csv", np.column_stack([x, U, V]), delimiter=",", header="x,U,V",
+               comments="")
+    (sub / "rel.cfg").write_text(FAST_CFG + "[init]\nfile = tent.csv\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["--config", "sub/rel.cfg", "--out", "o", "simulate"]) == EXIT_OK
+    # config_used.cfg names a file that loads from any working directory
+    monkeypatch.chdir(tmp_path / "o")
+    init = load_config("config_used.cfg").initial_data()
+    np.testing.assert_array_equal(init.u0(x, 2.0), U)
+    np.testing.assert_array_equal(init.v0(x, 2.0), V)

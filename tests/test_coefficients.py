@@ -139,13 +139,14 @@ def test_almost_period_translation():
 
 def test_linearization_constant_matrix():
     mat = LinearizationMatrix.constant([[-1.0, 1.0], [1.0, -1.0]])
-    np.testing.assert_allclose(mat.eval(3.0, 7.0), [[-1.0, 1.0], [1.0, -1.0]], atol=1e-15)
+    np.testing.assert_allclose(np.reshape(mat.entries(3.0, 7.0), (2, 2)),
+                               [[-1.0, 1.0], [1.0, -1.0]], atol=1e-15)
 
 
 def test_linearization_reference_entries():
     # a1 = alpha1*beta/N1, a2 = alpha2*beta/N1 with beta=0.6, N1=1
     spec = ModelSpec()
-    A = spec.linearization().eval(0.0, 0.0)
+    A = np.reshape(spec.linearization().entries(0.0, 0.0), (2, 2))
     np.testing.assert_allclose(
         A, [[-0.1, 1.5488 * 0.6], [0.216 * 0.6 * 20.0, -0.029]], rtol=0, atol=1e-12
     )

@@ -1,6 +1,7 @@
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,4 +202,18 @@ def _configs(draw):
 @settings(max_examples=40, deadline=None)
 @given(_configs())
 def test_round_trip_generated(cfg):
+    assert parse_config(render_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("amps", ["amp_U = 5.0\namp_V = 1000.0", "amp_V = 1.0"],
+                         ids=["both", "amp_V"])
+def test_init_amplitudes_beside_a_file_are_rejected(tmp_path, amps):
+    x = np.linspace(-2.0, 2.0, 9)
+    tent = tmp_path / "tent.csv"
+    np.savetxt(tent, np.column_stack([x, 0.05 * (2.0 - np.abs(x)), 2.0 - np.abs(x)]),
+               delimiter=",", header="x,U,V", comments="")
+    with pytest.raises(ValidationError, match="file replaces"):
+        parse_config(f"[init]\nfile = {tent}\n{amps}\n")
+    # the default amplitudes that render_config writes beside the file still parse
+    cfg = parse_config(f"[init]\nfile = {tent}\n")
     assert parse_config(render_config(cfg)) == cfg

@@ -32,7 +32,7 @@ def test_reaction_reference_point():
 def test_jacobian_matches_finite_differences():
     spec = ModelSpec()
     x, t = 0.7, 3.1
-    A = spec.linearization().eval(x, t)
+    A = np.reshape(spec.linearization().entries(x, t), (2, 2))
     eps = 1e-6
     fd = np.empty((2, 2))
     for j, (dUq, dVq) in enumerate(((eps, 0.0), (0.0, eps))):
@@ -45,7 +45,7 @@ def test_jacobian_matches_finite_differences():
 def test_jacobian_off_diagonals_exact():
     spec = ModelSpec()
     x, t = -1.3, 12.0
-    A = spec.linearization().eval(x, t)
+    A = np.reshape(spec.linearization().entries(x, t), (2, 2))
     assert A[0, 1] == spec.a1.eval(x, t) * spec.N1
     assert A[1, 0] == spec.a2.eval(x, t) * spec.N2
 
@@ -59,7 +59,7 @@ def test_constant_coefficient_jacobian():
     )
     # a1 = 0.8/2 = 0.4, a2 = 0.5/2 = 0.25
     np.testing.assert_allclose(
-        spec.linearization().eval(0.0, 0.0),
+        np.reshape(spec.linearization().entries(0.0, 0.0), (2, 2)),
         [[-0.2, 0.4 * 2.0], [0.25 * 3.0, -0.3]], rtol=0, atol=1e-14,
     )
 

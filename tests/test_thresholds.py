@@ -55,8 +55,17 @@ def test_classify_undetermined_and_determinism():
 def test_classify_rejects_failed_runs():
     traj = _traj(np.linspace(0, 10, 20), 2.0, 0.5)
     traj.status = "blowup"
-    with pytest.raises(ValueError):
+    with pytest.raises(th.FailedRunError):
         classify(traj, 1.0)
+
+
+@pytest.mark.parametrize("L_star", [0.0, -1.0, np.nan, np.inf])
+def test_lstar_must_be_positive_and_finite(L_star):
+    traj = _traj(np.linspace(0, 10, 20), 2.0, 0.5)
+    with pytest.raises(ValueError, match="L_star"):
+        classify(traj, L_star)
+    with pytest.raises(ValueError, match="L_star"):
+        MuStarConfig(L_star=L_star)
 
 
 AUTONOMOUS_LSTAR = LStarConfig(

@@ -38,21 +38,20 @@ def test_manufactured_convergence_needs_three_levels():
 
 def test_comparison_identical_pair(ref_spec, fast_solver):
     init = InitialData()
-    report = comparison_suite(ref_spec, [(init, init)], fast_solver)
+    report = comparison_suite(ref_spec, init, init, fast_solver)
     assert report["passed"]
-    case = report["cases"][0]
     # identical configs integrate identically; fronts match bitwise, fields
     # up to spline evaluation roundoff
-    assert case["front_margin"] == 0.0
-    assert abs(case["field_margin"]) < 1e-12
+    assert report["front_margin"] == 0.0
+    assert abs(report["field_margin"]) < 1e-12
 
 
 def test_comparison_ordered_pair(ref_spec, fast_solver):
     lo = InitialData(amp_U=0.06, amp_V=1.2)
     hi = InitialData(amp_U=0.09, amp_V=1.8)
-    report = comparison_suite(ref_spec, [(lo, hi)], fast_solver)
+    report = comparison_suite(ref_spec, lo, hi, fast_solver)
     assert report["passed"]
-    assert report["cases"][0]["front_margin"] >= -1e-8
+    assert report["front_margin"] >= -1e-8
 
 
 def _autonomous_spec():
