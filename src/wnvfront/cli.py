@@ -25,6 +25,7 @@ from .thresholds import (
     LStarConfig,
     MuStarConfig,
     NotConvergedError,
+    checked_L_star,
     classify,
     find_L_star,
     find_mu_star,
@@ -141,7 +142,7 @@ def _find_lstar(cfg: RunConfig):
 
 
 def _resolve_lstar(cfg: RunConfig, args) -> float:
-    return args.L_star if args.L_star is not None else _find_lstar(cfg)[0]
+    return checked_L_star(args.L_star) if args.L_star is not None else _find_lstar(cfg)[0]
 
 
 def _classify(cfg: RunConfig, L_star: float):

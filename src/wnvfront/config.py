@@ -27,9 +27,9 @@ import numpy as np
 from .coefficients import CoefficientField, PROFILE_KINDS, TemporalHarmonic
 from .lyapunov import EstimatorConfig
 from .model import InitialData, ModelSpec
-from .reproduce import LSTAR_BRACKET, MU_BRACKET, SEARCH_ESTIMATOR
+from .reproduce import LSTAR_BRACKET, MU_BRACKET
 from .solver import SolverConfig
-from .thresholds import DEFAULT_SHIFTS
+from .thresholds import LStarConfig
 
 
 class ConfigError(ValueError):
@@ -66,12 +66,11 @@ class RunSection:
     L_hi: float = LSTAR_BRACKET[1]
     mu_lo: float = MU_BRACKET[0]
     mu_hi: float = MU_BRACKET[1]
-    shifts: Tuple[float, ...] = DEFAULT_SHIFTS
+    shifts: Tuple[float, ...] = LStarConfig.shifts
     L_list: Tuple[float, ...] = ()
-    # cheaper estimator settings used inside threshold bisections
-    search_J: int = SEARCH_ESTIMATOR.J
-    search_dt: float = SEARCH_ESTIMATOR.dt
-    search_horizon: float = SEARCH_ESTIMATOR.horizon
+    search_J: int = LStarConfig.estimator.J
+    search_dt: float = LStarConfig.estimator.dt
+    search_horizon: float = LStarConfig.estimator.horizon
 
 
 @dataclass(frozen=True)
@@ -222,17 +221,19 @@ def load_config(path) -> RunConfig:
 
 
 def _parse(text: str, root: Path) -> RunConfig:
-    sections = {name: {} for name in _SECTIONS}
+    sections = {}  # section name -> {key: (raw value, line number)}
     current = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                raise ParseError(f"unknown section [{name}]", line_no)
-            current = name
+            current = line[1:-1].strip()
+            if current not in _SECTIONS:
+                raise ParseError(f"unknown section [{current}]", line_no)
+            if current in sections:
+                raise ParseError(f"section [{current}] given twice", line_no)
+            sections[current] = {}
             continue
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", line_no)
@@ -240,11 +241,13 @@ def _parse(text: str, root: Path) -> RunConfig:
             raise ParseError("key outside any [section]", line_no)
         key, _, raw_value = line.partition("=")
         key = key.strip()
+        if key in sections[current]:
+            raise ParseError(f"key {key!r} given twice in section [{current}]", line_no)
         sections[current][key] = (raw_value, line_no)
 
     built = {}
     for section_name, cls in _SECTIONS.items():
-        pending = dict(sections[section_name])
+        pending = sections.get(section_name, {})
         default = cls()
         kwargs = {}
         for name in (f.name for f in fields(cls)):

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .coefficients import LinearizationMatrix
-from .solver import banded_operator
+from .solver import BANDS, banded_operator, interleave
 
 BURN_IN = 0.25  # fraction of the horizon discarded before the slope is read
 SAMPLES = 400  # length of the log-norm series kept for the tail regression
@@ -82,10 +82,10 @@ def lyapunov_exponent(
     Each shift s is the problem on [-L, L] with the coefficients evaluated
     at x + s.  The shifts are independent, so they are integrated together
     as the blocks of one block-diagonal system: one coefficient evaluation
-    and one banded solve per step for all of them.  Renormalisation, the
-    positive-cone check and the log-norm series are kept per block, and the
-    estimate with the smallest ``lam`` is returned (the first on a tie),
-    with the shift it came from.
+    and one banded solve per step for all of them.  Each block is a row of
+    the state; renormalisation, the positive-cone check and the log-norm
+    series are kept per row, and the estimate with the smallest ``lam`` is
+    returned (the first on a tie), with the shift it came from.
     Each block's arithmetic is that of a lone shift, so the result equals
     the minimum of the single-shift estimates exactly.
     """
@@ -103,25 +103,13 @@ def lyapunov_exponent(
     no_drift = np.zeros(nb * (J - 1))
     n_steps = int(round(cfg.horizon / cfg.dt))
     dt = cfg.horizon / n_steps
-    # neighbour entries that couple the last node of a block to the first of
-    # the next: (i, i+2) in row 0 and (i+2, i) in row 4 of the banded form
-    starts = 2 * (J - 1) * np.arange(1, nb)
-    upper_edge = np.concatenate([starts, starts + 1])
-    lower_edge = upper_edge - 2
 
     def operator(t):
-        ab = banded_operator(D1, D2, inv_dx2, no_drift, *mat.entries(x_all, t), dt)
-        ab[0, upper_edge] = 0.0
-        ab[4, lower_edge] = 0.0
-        return ab
+        return banded_operator(D1, D2, inv_dx2, no_drift, *mat.entries(x_all, t), dt, blocks=nb)
 
     # strictly positive start: principal Dirichlet mode in both components
     bump = np.sin(np.pi * (x_int + L) / (2.0 * L))
-    u0 = np.empty(2 * (J - 1))
-    u0[0::2] = bump
-    u0[1::2] = bump
-    u0 /= np.max(u0)
-    u = np.tile(u0, nb)
+    u = np.tile(interleave(bump, bump) / np.max(bump), (nb, 1))  # one row per block
 
     autonomous = mat.is_autonomous
     if autonomous:
@@ -133,28 +121,25 @@ def lyapunov_exponent(
     stride = max(1, n_steps // SAMPLES)
     ts: List[float] = [0.0]
     ss: List[np.ndarray] = [np.zeros(nb)]
-    t = 0.0
     for k in range(1, n_steps + 1):
         t = k * dt
         if not autonomous:
             ab = operator(t)
-        u = solve_banded((2, 2), ab, u / dt)
+        u = solve_banded(BANDS, ab, u.ravel() / dt).reshape(nb, -1)
         if not np.all(np.isfinite(u)):
             raise ArithmeticError(f"non-finite state in exponent integration at t={t}")
-        blocks = u.reshape(nb, -1)
-        sup = np.max(np.abs(blocks), axis=1)
-        for b, s in enumerate(sup.tolist()):
-            if s < RENORM_LO or s > RENORM_HI:
-                if np.min(blocks[b]) <= 0.0:
-                    cone_ok[b] = False
-                log_acc[b] += np.log(s)
-                blocks[b] /= s
-                sup[b] = 1.0
-                renorms[b] += 1
+        sup = np.max(np.abs(u), axis=1)
+        out = (sup < RENORM_LO) | (sup > RENORM_HI)  # the blocks to renormalise
+        if out.any():
+            cone_ok[out] &= np.min(u[out], axis=1) > 0.0
+            log_acc[out] += np.log(sup[out])
+            u[out] /= sup[out, None]
+            sup[out] = 1.0
+            renorms += out
         if k % stride == 0 or k == n_steps:
             ts.append(t)
             ss.append(log_acc + np.log(sup))
-    cone_ok &= np.min(u.reshape(nb, -1), axis=1) > 0.0
+    cone_ok &= np.min(u, axis=1) > 0.0
 
     ts_arr = np.array(ts)
     ss_arr = np.array(ss).T.copy()  # one row per block

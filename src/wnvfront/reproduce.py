@@ -1,15 +1,12 @@
 """The paper battery: regime cases, their expected verdicts and the threshold brackets.
 
 ``wnvfront reproduce-paper`` and the acceptance tests both run from these
-definitions, and the ``[run]`` config defaults take the brackets and the
-search estimator from here.
+definitions, and the ``[run]`` config defaults take the brackets from here.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Tuple
-
-from .lyapunov import EstimatorConfig
 
 # (h0, mu) -> expected verdict.  h0=0.6 is below the critical half-width, so
 # its verdict turns on mu: it spreads only above mu* (about 0.87 for the
@@ -28,8 +25,6 @@ BRACKET_MU = 0.1
 MU_STAR_H0 = 0.6
 MU_BRACKET = (0.1, 1.0)
 LSTAR_BRACKET = (0.3, 3.0)
-# cheaper estimator settings used inside the L* bisection
-SEARCH_ESTIMATOR = EstimatorConfig(J=128, dt=0.02, horizon=400.0)
 
 
 def halfwidth_bracket(verdicts: Mapping[Tuple[float, float], str]) -> Tuple[float, float]:

@@ -3,9 +3,9 @@
 Each step solves the transformed reaction-diffusion pair on y in [-1, 1]
 with backward Euler in time and second-order central differences in
 space.  The bilinear reaction is handled by Newton's method on the
-coupled pair: every iterate is one banded solve for both components at
-the interior nodes, interleaved (see ``banded_operator``, which the
-exponent estimator shares); the two fronts then move by the Stefan rule
+coupled pair: every iterate is one banded solve for both components
+(``banded_operator``, shared with the exponent estimator; only this module
+knows how that system is stored), then the fronts move by the Stefan rule
 with a second-order one-sided boundary gradient.  Geometry coefficients
 are frozen at the step start (velocities lagged one step), a Lie
 splitting whose O(dt) error matches backward Euler.
@@ -46,6 +46,7 @@ UNDERSHOOT_TOL = 1e-10  # clip band for negative discretization noise
 OVERSHOOT_REL = 1e-8  # allowed relative excess above capacity
 NEWTON_TOL = 1e-10  # max-norm change between Newton iterates that ends a step
 MAX_NEWTON = 30  # Newton iterates before a step is rejected
+BANDS = (2, 2)  # lower and upper bandwidths of banded_operator's matrix
 
 
 @dataclass(frozen=True)
@@ -111,18 +112,27 @@ def boundary_derivative(state: FrontState, side: str) -> float:
     raise ValueError("side must be 'left' or 'right'")
 
 
-def banded_operator(D1, D2, diff, adv, m11, m12, m21, m22, dt):
-    """Backward-Euler matrix of the linear pair in banded form (bands 2, 2).
+def interleave(m, n):
+    """The vector U_0, V_0, U_1, V_1, ... of ``banded_operator``'s unknowns."""
+    u = np.empty(2 * len(m))
+    u[0::2], u[1::2] = m, n
+    return u
 
-    The unknowns are the interior nodes with the components interleaved,
-    U_0, V_0, U_1, V_1, ...; Dirichlet ends are not unknowns.  Row j of
+
+def banded_operator(D1, D2, diff, adv, m11, m12, m21, m22, dt, blocks=1):
+    """Backward-Euler matrix of the linear pair in banded form (bandwidths ``BANDS``).
+
+    The unknowns are the interior nodes with the components interleaved
+    (``interleave``); Dirichlet ends are not unknowns.  Row j of
     component c (diffusivity D_c) reads
 
         (1/dt) u_j - D_c*diff*(u_{j-1} - 2u_j + u_{j+1})
             + adv_j*(u_{j+1} - u_{j-1}) - sum_c' m_cc'_j u'_j
 
     with a scalar diffusion scale ``diff``, and per-node arrays for the
-    drift ``adv`` and the reaction entries m_ij.
+    drift ``adv`` and the reaction entries m_ij.  For ``blocks`` > 1 the
+    nodes are that many Dirichlet intervals of equal size, and the matrix
+    is block diagonal.
     """
     n = 2 * len(m11)
     ab = np.zeros((5, n))
@@ -136,6 +146,10 @@ def banded_operator(D1, D2, diff, adv, m11, m12, m21, m22, dt):
     ab[0, 3::2] = adv[:-1] - D2 * diff
     ab[4, 0:-2:2] = -D1 * diff - adv[1:]
     ab[4, 1:-2:2] = -D2 * diff - adv[1:]
+    # entries (i-2, i) and (i, i-2) cross a block edge for the first two unknowns i of a block
+    size = n // blocks
+    ab[0, size::size] = ab[0, size + 1::size] = 0.0
+    ab[4, size - 2:-2:size] = ab[4, size - 1:-2:size] = 0.0
     return ab
 
 
@@ -187,10 +201,7 @@ def step(
     adv = Bcoef / (2.0 * dy)
     rhs_m = state.m[1:-1] / dt + S1
     rhs_n = state.n[1:-1] / dt + S2
-    u = np.empty(2 * (J - 1))
-    u[0::2] = state.m[1:-1]
-    u[1::2] = state.n[1:-1]
-    b = np.empty_like(u)
+    u = interleave(state.m[1:-1], state.n[1:-1])
     for _ in range(MAX_NEWTON):
         m, n = u[0::2], u[1::2]
         ab = banded_operator(
@@ -199,9 +210,7 @@ def step(
             dt,
         )
         mn = m * n
-        b[0::2] = rhs_m + a1 * mn
-        b[1::2] = rhs_n + a2 * mn
-        u_next = solve_banded((2, 2), ab, b)
+        u_next = solve_banded(BANDS, ab, interleave(rhs_m + a1 * mn, rhs_n + a2 * mn))
         if not np.all(np.isfinite(u_next)):
             raise NonFiniteError(f"non-finite values at t={t1}")
         res = float(np.max(np.abs(u_next - u)))

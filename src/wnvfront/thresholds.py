@@ -50,10 +50,16 @@ class Classification:
     evidence: Dict[str, float]
 
 
-def classify(traj: Trajectory, L_star: float) -> Classification:
-    """Classify a completed trajectory against the finite-horizon evidence rules."""
+def checked_L_star(L_star: float) -> float:
+    """L_star itself; a ValueError unless it is positive and finite."""
     if not 0 < L_star < np.inf:
         raise ValueError(f"L_star must be positive and finite, got {L_star}")
+    return L_star
+
+
+def classify(traj: Trajectory, L_star: float) -> Classification:
+    """Classify a completed trajectory against the finite-horizon evidence rules."""
+    checked_L_star(L_star)
     if traj.status != "completed":
         raise FailedRunError(f"cannot classify a trajectory with status {traj.status!r}")
     t = traj.t
@@ -84,7 +90,8 @@ def classify(traj: Trajectory, L_star: float) -> Classification:
 
 @dataclass(frozen=True)
 class LStarConfig:
-    estimator: EstimatorConfig = EstimatorConfig()
+    # cheaper than a lone estimate's defaults; the [run] search_* keys default to it
+    estimator: EstimatorConfig = EstimatorConfig(J=128, dt=0.02, horizon=400.0)
     shifts: Tuple[float, ...] = DEFAULT_SHIFTS
     bracket_tol: float = 1e-2
 
@@ -140,8 +147,7 @@ class MuStarConfig:
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if not 0 < self.L_star < np.inf:
-            raise ValueError(f"L_star must be positive and finite, got {self.L_star}")
+        checked_L_star(self.L_star)
 
 
 @dataclass(frozen=True)

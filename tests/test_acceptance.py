@@ -27,7 +27,6 @@ from wnvfront.reproduce import (
     LSTAR_BRACKET,
     MU_BRACKET,
     MU_STAR_H0,
-    SEARCH_ESTIMATOR,
     halfwidth_bracket,
 )
 from wnvfront.solver import SolverConfig
@@ -64,9 +63,8 @@ def _report(num, title, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def L_star(ref_spec):
-    cfg = LStarConfig(estimator=SEARCH_ESTIMATOR)
     value, _ = find_L_star(ref_spec.linearization(), (ref_spec.D1, ref_spec.D2),
-                           LSTAR_BRACKET, cfg)
+                           LSTAR_BRACKET, LStarConfig())
     return value
 
 
@@ -150,7 +148,7 @@ def test_criterion_03_lyapunov_oracle_grid():
 def test_criterion_04_monotonicity(ref_spec):
     Ls = list(np.linspace(0.5, 3.2, 10))
     sweep = lambda_sweep(ref_spec.linearization(), (ref_spec.D1, ref_spec.D2), Ls,
-                         SEARCH_ESTIMATOR)
+                         LStarConfig().estimator)
     sweep_ok = sweep.violations == []
 
     cfg = SolverConfig(J=200, dt0=0.02, dt_min=0.02, dt_max=0.02, t_end=30.0)

@@ -25,6 +25,22 @@ horizon = 10.0
 """
 
 
+def _fast_cfg_with(setting):
+    """FAST_CFG with ``setting`` ("[section]\nkey = value") in that section, each key once."""
+    header, line = setting.split("\n")
+    key = line.partition("=")[0].strip()
+    lines, section = [], None
+    for old in FAST_CFG.strip().splitlines():
+        section = old if old.startswith("[") else section
+        if section != header or old.partition("=")[0].strip() != key:
+            lines.append(old)
+        if old == header:
+            lines.append(line)
+    if header not in lines:
+        lines += [header, line]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture()
 def fast_cfg(tmp_path):
     path = tmp_path / "fast.cfg"
@@ -197,7 +213,7 @@ def test_verify_comparison_data_within_capacity(tmp_path, monkeypatch):
 ], ids=["dt_zero", "horizon_below_dt", "tol_zero", "search_dt_zero", "search_J_one"])
 def test_bad_estimator_setting_is_usage_error(tmp_path, capsys, setting, command):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(FAST_CFG + setting + "\n", encoding="utf-8")
+    bad.write_text(_fast_cfg_with(setting), encoding="utf-8")
     assert cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), command]) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
 
@@ -208,7 +224,7 @@ def test_bad_estimator_setting_is_usage_error(tmp_path, capsys, setting, command
 ], ids=["zero", "negative"])
 def test_nonpositive_t_end_is_config_error(tmp_path, capsys, command, setting):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(FAST_CFG + "[solver]\n" + setting + "\n", encoding="utf-8")
+    bad.write_text(_fast_cfg_with("[solver]\n" + setting), encoding="utf-8")
     extra = ["--L-star", "1.27"] if command == "classify" else []
     out = tmp_path / "o"
     assert cli_main(["--config", str(bad), "--out", str(out), command, *extra]) == EXIT_USAGE
@@ -235,7 +251,7 @@ def test_flag_the_subcommand_ignores_is_usage_error(fast_cfg, tmp_path, capsys, 
 ], ids=["newton_tol", "renorm_lo", "kind"])
 def test_constant_is_not_a_config_key(tmp_path, capsys, setting):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(FAST_CFG + setting + "\n", encoding="utf-8")
+    bad.write_text(_fast_cfg_with(setting), encoding="utf-8")
     assert cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "simulate"]) == EXIT_USAGE
     assert "unknown key" in capsys.readouterr().err
 
@@ -326,12 +342,15 @@ def test_reproduce_paper_searches_mustar_as_find_mustar_does(fast_cfg, tmp_path,
 @pytest.mark.parametrize("command", ["classify", "find-mustar"])
 @pytest.mark.parametrize("l_star", ["-1", "nan"])
 def test_invalid_lstar_is_usage_error(fast_cfg, tmp_path, monkeypatch, capsys, command, l_star):
-    # find-mustar fails before its first probe
-    monkeypatch.setattr(th, "simulate", lambda *a, **k: pytest.fail("a mu* probe ran"))
+    # both fail before anything is simulated: no classify run, no mu* probe
+    runs = []
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: runs.append("classify run"))
+    monkeypatch.setattr(th, "simulate", lambda *a, **k: runs.append("mu* probe"))
     rc = cli_main(["--config", fast_cfg, "--out", str(tmp_path / "o"), command,
                    "--L-star", l_star, "--t-end", "5", "--grid", "32"])
     assert rc == EXIT_USAGE
     assert "L_star must be positive and finite" in capsys.readouterr().err
+    assert runs == []
 
 
 def test_relative_init_file_and_recorded_config(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from wnvfront.config import (
     render_config,
 )
 from wnvfront.model import ModelSpec
+from wnvfront.thresholds import LStarConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -43,6 +44,11 @@ def test_comments_and_partial_sections():
     assert cfg.model.D1 == 3.0  # untouched default
 
 
+def test_search_defaults_are_the_lstar_search():
+    assert LStarConfig().estimator == RunConfig().search_estimator_config()
+    assert LStarConfig().shifts == RunConfig().run.shifts
+
+
 def test_unknown_key_reports_line():
     with pytest.raises(ParseError) as err:
         parse_config("[model]\nh0 = 1.0\nbogus = 3\n")
@@ -54,6 +60,20 @@ def test_unknown_section_reports_line():
     with pytest.raises(ParseError) as err:
         parse_config("[model]\nh0 = 1.0\n[nonsense]\nx = 1\n")
     assert err.value.line == 3
+
+
+def test_repeated_key_reports_line():
+    with pytest.raises(ParseError) as err:
+        parse_config("[model]\nmu = 0.1\n\nmu = 0.7\n")
+    assert err.value.line == 4
+    assert "'mu' given twice" in str(err.value)
+
+
+def test_repeated_section_reports_line():
+    with pytest.raises(ParseError) as err:
+        parse_config("[model]\nmu = 0.1\n[solver]\nJ = 64\n[model]\nh0 = 0.6\n")
+    assert err.value.line == 5
+    assert "[model] given twice" in str(err.value)
 
 
 def test_syntax_errors():

@@ -108,22 +108,33 @@ def test_invalid_L_rejected(ref_spec):
         lyapunov_exponent(ref_spec.linearization(), -1.0, (1.0, 1.0), FAST)
 
 
-@pytest.mark.parametrize("kind", ["reference", "constant"])
+@pytest.mark.parametrize("kind", ["reference", "constant", "renormalising"])
 def test_batched_shifts_equal_worst_single_shift(kind, ref_spec):
     # exact equality: no coupling leaks across the block edges
-    if kind == "reference":
-        mat = ref_spec.linearization()
-    else:
+    if kind == "constant":
         mat = LinearizationMatrix.constant([[-0.1, 0.528], [1.92, -0.029]])
+    else:
+        mat = ref_spec.linearization()
     D = (ref_spec.D1, ref_spec.D2)
     cfg = EstimatorConfig(J=24, dt=0.1, horizon=40.0)
-    for shifts in ((-20.0, 0.0, 20.0), (20.0, 3.5, -5.0, -20.0)):
-        for L in (0.5, 2.0):
-            batched = lyapunov_exponent(mat, L, D, cfg, shifts=shifts)
-            single = [lyapunov_exponent(mat, L, D, cfg, shifts=(s,)) for s in shifts]
-            worst = min(single, key=lambda e: e.lam)
-            assert batched == worst
-            assert batched.shift == shifts[single.index(worst)]
+    cases = [(shifts, L) for shifts in ((-20.0, 0.0, 20.0), (20.0, 3.5, -5.0, -20.0))
+             for L in (0.5, 2.0)]
+    if kind == "renormalising":
+        # at L=1.25 shift 0 grows and shift 2.5 decays: both blocks renormalise,
+        # at different steps, and shift -10 does not within the horizon
+        cfg = EstimatorConfig(J=24, dt=0.5, horizon=1000.0)
+        cases = [((0.0, 2.5, -10.0), 1.25)]
+    for shifts, L in cases:
+        batched = lyapunov_exponent(mat, L, D, cfg, shifts=shifts)
+        single = [lyapunov_exponent(mat, L, D, cfg, shifts=(s,)) for s in shifts]
+        worst = min(single, key=lambda e: e.lam)
+        assert batched == worst
+        assert batched.shift == shifts[single.index(worst)]
+    if kind == "renormalising":
+        grows, decays, still = single
+        assert grows.lam > 0 and grows.renorm_count > 0
+        assert decays.lam < 0 and decays.renorm_count > 0
+        assert still.renorm_count == 0
 
 
 def test_batched_shifts_require_one():

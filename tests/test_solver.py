@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from wnvfront.coefficients import constant_field
 from wnvfront.model import InitialData, ModelSpec
@@ -81,6 +82,16 @@ def test_pure_decay_matches_separated_mode():
         assert np.max(arr) == pytest.approx(exact, rel=0.01)
 
 
+def _dense(ab):
+    """The square matrix of banded_operator's storage (bands 2 and 2)."""
+    n = ab.shape[1]
+    dense = np.zeros((n, n))
+    for i in range(n):
+        for k in range(max(0, i - 2), min(n, i + 3)):
+            dense[i, k] = ab[2 + i - k, k]
+    return dense
+
+
 def test_banded_operator_matches_dense_stencil(rng):
     nodes = 5  # the interior nodes of a J=6 grid
     D1, D2, diff, dt = 1.3, 0.4, 7.0, 0.1
@@ -100,11 +111,18 @@ def test_banded_operator_matches_dense_stencil(rng):
                 dense[row, row - 2] = -D * diff - adv[j]
             if j < nodes - 1:
                 dense[row, row + 2] = -D * diff + adv[j]
-    from_bands = np.zeros((n, n))
-    for i in range(n):
-        for k in range(max(0, i - 2), min(n, i + 3)):
-            from_bands[i, k] = ab[2 + i - k, k]
-    np.testing.assert_allclose(from_bands, dense, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(_dense(ab), dense, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_banded_operator_blocks_are_block_diagonal(rng, blocks):
+    nodes = 5  # per block
+    D1, D2, diff, dt = 1.3, 0.4, 7.0, 0.1
+    adv = rng.normal(size=(blocks, nodes))
+    m = rng.normal(size=(4, blocks, nodes))
+    whole = banded_operator(D1, D2, diff, adv.ravel(), *m.reshape(4, -1), dt, blocks=blocks)
+    singles = [_dense(banded_operator(D1, D2, diff, adv[b], *m[:, b], dt)) for b in range(blocks)]
+    np.testing.assert_array_equal(_dense(whole), block_diag(*singles))
 
 
 def test_step_solves_backward_euler_system(ref_spec):
