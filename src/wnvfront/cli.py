@@ -22,7 +22,6 @@ from .reproduce import CASES, MU_STAR_H0, halfwidth_bracket
 from .solver import simulate
 from .thresholds import (
     BadBracketError,
-    LStarConfig,
     MuStarConfig,
     NotConvergedError,
     checked_L_star,
@@ -106,8 +105,7 @@ def cmd_lyapunov(cfg: RunConfig, args) -> int:
     spec = cfg.model_spec()
     L = args.half_width if args.half_width is not None else spec.h0
     est = lyapunov_exponent(spec.linearization(), L, (spec.D1, spec.D2), cfg.lyapunov)
-    print(f"lambda={est.lam:.6f} L={L:g} ci=({est.tail_slope_ci[0]:.6f},"
-          f"{est.tail_slope_ci[1]:.6f}) converged={est.converged}")
+    print(f"lambda={est.lam:.6f} L={L:g} err={est.err:.3g} converged={est.converged}")
     return EXIT_OK
 
 
@@ -123,12 +121,12 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     write_csv(
         out / "lambda_sweep.csv",
-        ["L", "lambda", "ci_lo", "ci_hi"],
-        [(L, e.lam, e.tail_slope_ci[0], e.tail_slope_ci[1]) for L, e in result.entries],
+        ["L", "lambda", "err"],
+        [(L, e.lam, e.err) for L, e in result.entries],
     )
     write_sweep_plot(result.entries, out / "lambda_vs_L.svg")
     for L, e in result.entries:
-        print(f"L={L:g} lambda={e.lam:.6f} converged={e.converged}")
+        print(f"L={L:g} lambda={e.lam:.6f} err={e.err:.3g} converged={e.converged}")
     if result.violations:
         print(f"monotonicity violations: {result.violations}", file=sys.stderr)
     return EXIT_OK
@@ -137,8 +135,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 def _find_lstar(cfg: RunConfig):
     """find_L_star on the [run] bracket and shifts with the search estimator."""
     spec = cfg.model_spec()
-    lcfg = LStarConfig(estimator=cfg.search_estimator_config(), shifts=cfg.run.shifts)
-    return find_L_star(spec.linearization(), (spec.D1, spec.D2), (cfg.run.L_lo, cfg.run.L_hi), lcfg)
+    return find_L_star(spec.linearization(), (spec.D1, spec.D2), (cfg.run.L_lo, cfg.run.L_hi),
+                       cfg.search_config())
 
 
 def _resolve_lstar(cfg: RunConfig, args) -> float:

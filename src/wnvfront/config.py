@@ -95,6 +95,10 @@ class RunConfig:
         r = self.run
         return replace(self.lyapunov, J=r.search_J, dt=r.search_dt, horizon=r.search_horizon)
 
+    def search_config(self) -> LStarConfig:
+        """The L* search that find-lstar runs: the [run] shifts with the search estimator."""
+        return LStarConfig(estimator=self.search_estimator_config(), shifts=self.run.shifts)
+
 
 # section name -> its dataclass, in file order
 _SECTIONS = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
@@ -266,8 +270,8 @@ def _parse(text: str, root: Path) -> RunConfig:
     cfg = RunConfig(**built)
     _validated(lambda: cfg.initial_data().validate(cfg.model))
     try:
-        cfg.search_estimator_config()
+        cfg.search_config()
     except ValueError as e:
-        raise ValidationError(f"[run] search estimator: {e}") from e
+        raise ValidationError(f"[run] search: {e}") from e
     return cfg
 

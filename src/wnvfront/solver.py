@@ -76,6 +76,8 @@ class SolverConfig:
             raise ValueError("need 0 < dt_min <= dt0 <= dt_max")
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
+        if not all(0 <= t < np.inf for t in self.output_times):
+            raise ValueError(f"output_times must be finite and nonnegative, got {self.output_times}")
         object.__setattr__(self, "output_times", tuple(self.output_times))
 
 

@@ -10,7 +10,7 @@ densities.  Anything else is Undetermined, a first-class outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,9 +27,7 @@ WIDTH_SLOPE_EPS = 1e-4
 WINDOW_FRAC = 0.2  # trailing fraction of the horizon used as evidence
 SPREADING_MARGIN = 0.5  # added to 2*L_star for the spreading width bar
 
-# Iteration caps of the two bisections
-LSTAR_MAX_ITER = 60
-MUSTAR_MAX_ITER = 40
+MAX_ITER = 40  # iteration cap of the bisection, for L* and mu* alike
 
 
 class BadBracketError(ValueError):
@@ -88,6 +86,21 @@ def classify(traj: Trajectory, L_star: float) -> Classification:
     return Classification("Undetermined", evidence)
 
 
+def _bisect(above: Callable[[float], bool], lo: float, hi: float, tol: float) -> Tuple[float, int]:
+    """(midpoint, iterations) once ``above`` is false at lo and true at hi, at most tol apart."""
+    iterations = 0
+    while hi - lo > tol and iterations < MAX_ITER:
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    if hi - lo > tol:
+        raise NotConvergedError(f"bisection hit the iteration cap with ({lo}, {hi}) left")
+    return 0.5 * (lo + hi), iterations
+
+
 @dataclass(frozen=True)
 class LStarConfig:
     # cheaper than a lone estimate's defaults; the [run] search_* keys default to it
@@ -98,40 +111,36 @@ class LStarConfig:
     def __post_init__(self):
         if not self.bracket_tol > 0:
             raise ValueError("bracket_tol must be positive")
+        if not (self.shifts and np.all(np.isfinite(self.shifts))):
+            raise ValueError(f"shifts must be finite and at least one, got {self.shifts}")
 
 
 def find_L_star(
     mat: LinearizationMatrix, D, bracket: Tuple[float, float], cfg: LStarConfig = LStarConfig()
 ) -> Tuple[float, int]:
-    """Bisect the exponent's zero crossing in L.  Returns (L_star, iterations).
+    """Bisect the exponent's zero crossing in L down to ``cfg.bracket_tol``.
 
-    The exponent at each half-width is the worst (smallest) over
-    ``cfg.shifts``, from one estimate that integrates all the shifts together.
+    Returns (L_star, iterations).  The exponent at each half-width is the
+    worst (smallest) over ``cfg.shifts``, from one estimate that integrates
+    all the shifts together.  An estimate that is not converged (undecided
+    at the horizon, or out of the positive cone) raises NotConvergedError.
     """
     L_lo, L_hi = bracket
     if not (0 < L_lo < L_hi):
         raise ValueError("need 0 < L_lo < L_hi")
-    e_lo = lyapunov_exponent(mat, L_lo, D, cfg.estimator, shifts=cfg.shifts)
-    e_hi = lyapunov_exponent(mat, L_hi, D, cfg.estimator, shifts=cfg.shifts)
-    if not (e_lo.lam < 0.0 < e_hi.lam):
+
+    def lam(L: float) -> float:
+        est = lyapunov_exponent(mat, L, D, cfg.estimator, shifts=cfg.shifts)
+        if not est.converged:
+            raise NotConvergedError(f"exponent at L={L} not converged at the horizon: {est}")
+        return est.lam
+
+    lam_lo, lam_hi = lam(L_lo), lam(L_hi)
+    if not (lam_lo < 0.0 < lam_hi):
         raise BadBracketError(
-            f"no sign change: lambda({L_lo})={e_lo.lam:.4g}, lambda({L_hi})={e_hi.lam:.4g}"
+            f"no sign change: lambda({L_lo})={lam_lo:.4g}, lambda({L_hi})={lam_hi:.4g}"
         )
-    iterations = 0
-    while L_hi - L_lo > cfg.bracket_tol and iterations < LSTAR_MAX_ITER:
-        mid = 0.5 * (L_lo + L_hi)
-        est = lyapunov_exponent(mat, mid, D, cfg.estimator, shifts=cfg.shifts)
-        iterations += 1
-        ci_width = est.tail_slope_ci[1] - est.tail_slope_ci[0]
-        if abs(est.lam) < ci_width:
-            return mid, iterations
-        if est.lam < 0.0:
-            L_lo = mid
-        else:
-            L_hi = mid
-    if L_hi - L_lo > cfg.bracket_tol:
-        raise NotConvergedError("L* bisection hit the iteration cap")
-    return 0.5 * (L_lo + L_hi), iterations
+    return _bisect(lambda L: lam(L) >= 0.0, L_lo, L_hi, cfg.bracket_tol)
 
 
 # Undetermined mu* probes are re-run at doubled horizons up to this multiple
@@ -195,28 +204,13 @@ def find_mu_star(
         raise BadBracketError(f"mu_lo={mu_lo} does not vanish")
     if probe(mu_hi) != "Spreading":
         raise BadBracketError(f"mu_hi={mu_hi} does not spread")
-    tol = cfg.rel_tol * mu_hi
-    iterations = 0
-    while mu_hi - mu_lo > tol and iterations < MUSTAR_MAX_ITER:
-        mid = 0.5 * (mu_lo + mu_hi)
-        iterations += 1
-        if probe(mid) == "Spreading":
-            mu_hi = mid
-        else:
-            mu_lo = mid
-    if mu_hi - mu_lo > tol:
-        raise NotConvergedError("mu* bisection hit the iteration cap")
-    return 0.5 * (mu_lo + mu_hi), iterations, transcript
+    mu_star, iterations = _bisect(lambda mu: probe(mu) == "Spreading", mu_lo, mu_hi,
+                                  cfg.rel_tol * mu_hi)
+    return mu_star, iterations, transcript
 
 
 def transcript_monotone(transcript: Sequence[ProbeRecord]) -> bool:
     """True when no larger-mu probe vanished below a smaller-mu spreading probe."""
-    records = sorted(transcript, key=lambda r: r.mu)
-    seen_spreading_at = None
-    for r in records:
-        if r.verdict == "Spreading" and seen_spreading_at is None:
-            seen_spreading_at = r.mu
-        if r.verdict == "Vanishing" and seen_spreading_at is not None and r.mu > seen_spreading_at:
-            return False
-    return True
+    lowest_spreading = min((r.mu for r in transcript if r.verdict == "Spreading"), default=np.inf)
+    return all(r.mu <= lowest_spreading for r in transcript if r.verdict == "Vanishing")
 

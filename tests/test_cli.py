@@ -232,6 +232,26 @@ def test_nonpositive_t_end_is_config_error(tmp_path, capsys, command, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("find-lstar", "[run]\nshifts = nan"),
+    ("find-lstar", "[run]\nshifts ="),
+    ("simulate", "[solver]\noutput_times = -1.0, nan"),
+], ids=["nan_shift", "no_shift", "bad_output_times"])
+def test_bad_run_setting_is_config_error(tmp_path, capsys, monkeypatch, command, setting):
+    # rejected while the config is read, before anything is integrated
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("integrated despite a bad setting")
+
+    monkeypatch.setattr(th, "lyapunov_exponent", must_not_run)
+    monkeypatch.setattr(cli, "simulate", must_not_run)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(_fast_cfg_with(setting), encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli_main(["--config", str(bad), "--out", str(out), command]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["lyapunov", "--grid", "64"],
     ["find-lstar", "--t-end", "5"],

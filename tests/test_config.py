@@ -187,6 +187,8 @@ def _fields(draw):
 
 
 _tuples = st.lists(st.floats(-1e3, 1e3), max_size=4).map(tuple)
+_times = st.lists(st.floats(0.0, 1e3), max_size=4).map(tuple)  # output times are nonnegative
+_shifts = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4).map(tuple)  # at least one shift
 
 
 @st.composite
@@ -203,7 +205,7 @@ def _configs(draw):
     dts = sorted(draw(st.lists(st.floats(1e-8, 1.0), min_size=3, max_size=3)))
     solver = replace(
         cfg.solver, J=draw(st.integers(16, 4000)), dt_min=dts[0], dt0=dts[1], dt_max=dts[2],
-        t_end=draw(_floats), output_times=draw(_tuples),
+        t_end=draw(_floats), output_times=draw(_times),
     )
     dt, horizon = sorted(draw(st.lists(_floats, min_size=2, max_size=2)))
     lyapunov = replace(
@@ -214,7 +216,7 @@ def _configs(draw):
         cfg.run, out=draw(st.text("abcxyz0123_-./", min_size=1)),
         **{k: draw(_floats) for k in ("L_lo", "L_hi", "mu_lo", "mu_hi")},
         search_dt=search_dt, search_horizon=search_horizon,
-        shifts=draw(_tuples), L_list=draw(_tuples), search_J=draw(st.integers(2, 4000)),
+        shifts=draw(_shifts), L_list=draw(_tuples), search_J=draw(st.integers(2, 4000)),
     )
     return RunConfig(model=model, init=init, solver=solver, lyapunov=lyapunov, run=run)
 

@@ -121,8 +121,10 @@ def test_batched_shifts_equal_worst_single_shift(kind, ref_spec):
              for L in (0.5, 2.0)]
     if kind == "renormalising":
         # at L=1.25 shift 0 grows and shift 2.5 decays: both blocks renormalise,
-        # at different steps, and shift -10 does not within the horizon
-        cfg = EstimatorConfig(J=24, dt=0.5, horizon=1000.0)
+        # at different steps, and shift -10 does not within the horizon.  At this
+        # tol shifts 2.5 and -10 are decided at T=800 and shift 0 only at the cap,
+        # so the batched call carries two frozen blocks to T=1000
+        cfg = EstimatorConfig(J=24, dt=0.5, horizon=1000.0, tol=3.8e-5)
         cases = [((0.0, 2.5, -10.0), 1.25)]
     for shifts, L in cases:
         batched = lyapunov_exponent(mat, L, D, cfg, shifts=shifts)
@@ -135,6 +137,21 @@ def test_batched_shifts_equal_worst_single_shift(kind, ref_spec):
         assert grows.lam > 0 and grows.renorm_count > 0
         assert decays.lam < 0 and decays.renorm_count > 0
         assert still.renorm_count == 0
+
+
+# lam of the same runs to horizon 1600 at tol=1e-14, whose own error bars are below 1.5e-5
+@pytest.mark.parametrize("L, shift, limit", [
+    (1.27, 0.0, 0.0541838), (1.27, -20.0, -0.0062844), (3.0, 10.0, 0.5825943),
+])
+@pytest.mark.parametrize("tol", [5e-3, 2.5e-3])
+def test_error_bar_holds_the_long_horizon_limit(ref_spec, L, shift, limit, tol):
+    # the search estimator's settings; at tol=2.5e-3 a factor of 2 in place of
+    # ERR_FACTOR = 3 would miss the limit
+    est = lyapunov_exponent(ref_spec.linearization(), L, (ref_spec.D1, ref_spec.D2),
+                            EstimatorConfig(J=128, dt=0.02, horizon=400.0, tol=tol),
+                            shifts=(shift,))
+    assert est.converged
+    assert abs(est.lam - limit) <= est.err
 
 
 def test_batched_shifts_require_one():

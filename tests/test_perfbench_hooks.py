@@ -39,7 +39,8 @@ def test_every_benchmark_hook_is_installed_and_runs():
         assert tracer.missing == []
         # L* = pi / (2 sqrt(0.4)) ~ 2.48 for this matrix and unit diffusion
         const = LinearizationMatrix.constant(np.array([[-0.1, 0.5], [0.5, -0.1]]))
-        lcfg = LStarConfig(estimator=EstimatorConfig(J=16, dt=0.5, horizon=20.0), shifts=(0.0,))
+        # T=50 is the first checkpoint that can decide an estimate
+        lcfg = LStarConfig(estimator=EstimatorConfig(J=16, dt=0.5, horizon=50.0), shifts=(0.0,))
         thresholds.find_L_star(const, (1.0, 1.0), (0.5, 10.0), lcfg)
         spec = ModelSpec(mu=0.1, h0=0.6)
         thresholds.simulate(spec, InitialData(), SolverConfig(J=16, t_end=0.5))

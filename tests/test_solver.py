@@ -198,6 +198,11 @@ def test_solver_config_validation():
     for t_end in (0.0, -5.0, float("nan")):
         with pytest.raises(ValueError):
             SolverConfig(t_end=t_end)
+    for times in ((-1.0,), (1.0, float("nan")), (float("inf"),)):
+        with pytest.raises(ValueError, match="output_times"):
+            SolverConfig(output_times=times)
+    # a time past t_end is accepted and skipped by the run: --t-end may shorten a run
+    assert SolverConfig(t_end=1.0, output_times=(0.0, 5.0)).output_times == (0.0, 5.0)
 
 
 def _front_identity_gap(J, dt, t_end=40.0):

@@ -93,16 +93,20 @@ def test_find_lstar_bad_bracket():
                                 shifts=(0.0,)))
 
 
+def test_find_lstar_raises_on_undecided_estimate():
+    # a horizon of 25 reads only the first checkpoint, where err is inf
+    cfg = LStarConfig(estimator=EstimatorConfig(J=32, dt=0.1, horizon=25.0), shifts=(0.0,))
+    with pytest.raises(th.NotConvergedError, match="not converged"):
+        find_L_star(LinearizationMatrix.constant([[-0.1, 0.528], [1.92, -0.029]]),
+                    (3.0, 0.125), (0.3, 3.0), cfg)
+
+
 def test_find_lstar_rejects_bad_interval():
     mat = LinearizationMatrix.constant([[-0.1, 0.528], [1.92, -0.029]])
     with pytest.raises(ValueError):
         find_L_star(mat, (3.0, 0.125), (2.0, 1.0), AUTONOMOUS_LSTAR)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1, and the CHANGES.md FOUND entry on find_L_star's early exit: the "
-    "search stops once |lambda| is below the tail-slope spread, which the horizon sets, "
-    "so L* is 1.2703, 1.2914 and 1.2809 at horizons 400, 800 and 1600"))
 def test_lstar_independent_of_horizon(ref_spec):
     mat, D = ref_spec.linearization(), (ref_spec.D1, ref_spec.D2)
     found = []
