@@ -54,7 +54,8 @@ _FLAGS = {
     "--t-end": dict(type=float, help="end of the simulated time"),
     "--grid": dict(type=int, help="spatial resolution J"),
     "--half-width": dict(type=float, help="interval half-width L (default: h0 of the config)"),
-    "--L-list": dict(type=str, help="comma-separated half-widths"),
+    "--L-list": dict(type=lambda text: tuple(float(v) for v in text.split(",")),
+                     help="comma-separated half-widths"),
     "--L-star": dict(type=float, help="critical half-width (default: find it)"),
 }
 
@@ -72,7 +73,8 @@ def _load(args) -> RunConfig:
         solver=_override(cfg.solver, t_end=getattr(args, "t_end", None),
                          J=getattr(args, "grid", None)),
         run=_override(cfg.run, out=args.out if args.out is not None
-                      else os.environ.get("WNV_OUT") or None),
+                      else os.environ.get("WNV_OUT") or None,
+                      L_list=getattr(args, "L_list", None)),
     )
 
 
@@ -111,12 +113,7 @@ def cmd_lyapunov(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     spec = cfg.model_spec()
-    if args.L_list:
-        Ls = [float(v) for v in args.L_list.split(",")]
-    elif cfg.run.L_list:
-        Ls = list(cfg.run.L_list)
-    else:
-        Ls = list(np.linspace(0.4, 3.0, 10))
+    Ls = cfg.run.L_list or np.linspace(0.4, 3.0, 10)
     result = lambda_sweep(spec.linearization(), (spec.D1, spec.D2), Ls, cfg.lyapunov)
     out = _outdir(cfg)
     write_csv(

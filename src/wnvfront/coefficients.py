@@ -13,7 +13,7 @@ so hull elements of these fields are reproduced without limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
@@ -25,6 +25,15 @@ _PROFILES = {
     "ratio1_cos": lambda x: (1.0 + x) / (1.0 + x * x) * np.cos(x),
     "ratio2_sin": lambda x: (2.0 + x) / (1.0 + x * x) * np.sin(x),
     "ratio1_sin": lambda x: (1.0 + x) / (1.0 + x * x) * np.sin(x),
+}
+
+# Each profile's (min, max) over the real line, rounded outward; beyond |x| = 60 all are < 0.02
+_PROFILE_RANGES = {
+    "constant_one": (1.0, 1.0),
+    "ratio2_cos": (-0.51283956, 2.07922037),
+    "ratio1_cos": (-0.40507100, 1.14083233),
+    "ratio2_sin": (-0.58243932, 1.26245416),
+    "ratio1_sin": (-0.25309395, 0.84688070),
 }
 
 PROFILE_KINDS = tuple(_PROFILES)
@@ -51,10 +60,12 @@ class TemporalHarmonic:
     def __post_init__(self):
         if self.kind not in ("cos", "sin"):
             raise ValueError(f"harmonic kind must be 'cos' or 'sin', got {self.kind!r}")
-        if not self.frequency > 0:
-            raise ValueError("harmonic frequency must be positive")
+        if not 0 < self.frequency < np.inf:
+            raise ValueError("harmonic frequency must be positive and finite")
         if not abs(self.amplitude) < 1:
             raise ValueError("harmonic amplitude must satisfy |amp| < 1")
+        if not -np.inf < self.phase < np.inf:
+            raise ValueError("harmonic phase must be finite")
 
     def factor(self, t):
         arg = self.frequency * np.asarray(t, dtype=float) + self.phase
@@ -64,49 +75,36 @@ class TemporalHarmonic:
     def shifted(self, tau: float) -> "TemporalHarmonic":
         return replace(self, phase=self.phase + self.frequency * tau)
 
-    @property
-    def period(self) -> float:
-        return 2.0 * np.pi / self.frequency
-
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Positive scalar field c(x,t), almost periodic in t.
-
-    ``floor`` is a positivity guard: construction verifies on a dense
-    (x, t) sample that eval never drops below it.
-    """
+    """Scalar field c(x,t), almost periodic in t, whose ``infimum`` must be positive."""
 
     base: float
     harmonics: Tuple[TemporalHarmonic, ...] = ()
     spatial_amp: float = 0.0
     spatial: str = "constant_one"
-    floor: float = 1e-6
-    _validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         if self.spatial not in _PROFILES:
             raise ValueError(f"unknown spatial profile {self.spatial!r}")
-        if not self.floor > 0:
-            raise ValueError("floor must be positive")
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
-        if self._validate:
-            self._check_positive()
+        if not 0 < self.infimum < np.inf:
+            raise ValueError(f"coefficient field infimum over x and t is {self.infimum:.6g}, not "
+                             "positive and finite (exact for one harmonic or rationally "
+                             "independent frequencies, a lower bound otherwise)")
 
-    def _check_positive(self, nx: int = 200, nt: int = 200):
-        x = np.linspace(-50.0, 50.0, nx)
-        # cover several of the longest harmonic periods
-        t_span = 200.0
-        if self.harmonics:
-            t_span = max(t_span, 4.0 * max(h.period for h in self.harmonics))
-        t = np.linspace(0.0, t_span, nt)
-        vals = self.eval(x[:, None], t[None, :])
-        m = float(np.min(vals))
-        if m < self.floor:
-            raise ValueError(
-                f"coefficient field dips to {m:.6g} below floor {self.floor:.6g} "
-                "on the validation sample"
-            )
+    @property
+    def infimum(self) -> float:
+        """The infimum of eval over x and t: the temporal product's plus the spatial term's.
+
+        Exact for one harmonic or rationally independent frequencies (Kronecker's
+        theorem), which reach their extreme factors together; a lower bound otherwise.
+        """
+        sign = 1.0 if self.base < 0 else -1.0
+        temporal = self.base * np.prod([1.0 + sign * abs(h.amplitude) for h in self.harmonics])
+        lo, hi = _PROFILE_RANGES[self.spatial]
+        return float(temporal + self.spatial_amp * (lo if self.spatial_amp >= 0 else hi))
 
     def eval(self, x, t):
         """Evaluate the field; broadcasts over x and t."""
@@ -118,23 +116,11 @@ class CoefficientField:
 
     def shifted(self, tau: float) -> "CoefficientField":
         """Field whose eval(x, t) equals this field's eval(x, t + tau), exactly."""
-        return replace(
-            self,
-            harmonics=tuple(h.shifted(tau) for h in self.harmonics),
-            _validate=False,
-        )
+        return replace(self, harmonics=tuple(h.shifted(tau) for h in self.harmonics))
 
     def scaled(self, c: float) -> "CoefficientField":
-        """Field equal to c * this field, for c > 0 (rescales base, spatial term, floor)."""
-        if not c > 0:
-            raise ValueError("scale factor must be positive")
-        return replace(
-            self,
-            base=c * self.base,
-            spatial_amp=c * self.spatial_amp,
-            floor=c * self.floor,
-            _validate=False,
-        )
+        """Field equal to c * this field; construction rejects it unless c > 0."""
+        return replace(self, base=c * self.base, spatial_amp=c * self.spatial_amp)
 
     @property
     def is_autonomous(self) -> bool:
@@ -143,7 +129,7 @@ class CoefficientField:
 
 def constant_field(value: float) -> CoefficientField:
     """A spatially and temporally constant positive coefficient."""
-    return CoefficientField(base=value, floor=0.5 * value)
+    return CoefficientField(base=value)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ The format is flat and diffable:
 The [model], [solver] and [lyapunov] sections are ModelSpec, SolverConfig
 and EstimatorConfig themselves, so every key takes its default from the
 program.  A section's keys are exactly its dataclass fields, with a
-coefficient field written as five keys.  Unknown keys are errors, and
+coefficient field written as four keys.  Unknown keys are errors, and
 parse(render(cfg)) round-trips exactly.
 """
 
@@ -25,7 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from .coefficients import CoefficientField, PROFILE_KINDS, TemporalHarmonic
-from .lyapunov import EstimatorConfig
+from .lyapunov import EstimatorConfig, checked_L_list
 from .model import InitialData, ModelSpec
 from .reproduce import LSTAR_BRACKET, MU_BRACKET
 from .solver import SolverConfig
@@ -72,6 +72,12 @@ class RunSection:
     search_dt: float = LStarConfig.estimator.dt
     search_horizon: float = LStarConfig.estimator.horizon
 
+    def __post_init__(self):
+        if not (0 < self.L_lo < self.L_hi < np.inf and 0 < self.mu_lo < self.mu_hi < np.inf):
+            raise ValueError(f"need 0 < L_lo < L_hi and 0 < mu_lo < mu_hi, all finite; got "
+                             f"({self.L_lo}, {self.L_hi}) and ({self.mu_lo}, {self.mu_hi})")
+        checked_L_list(self.L_list)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -103,9 +109,9 @@ class RunConfig:
 # section name -> its dataclass, in file order
 _SECTIONS = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
 
-# A coefficient field is written as five keys <prefix>_<part>
+# A coefficient field is written as four keys <prefix>_<part>
 _FIELD_PREFIX = {"gamma_field": "gamma", "death_field": "death"}
-_FIELD_PARTS = ("base", "harmonics", "spatial_amp", "spatial", "floor")
+_FIELD_PARTS = ("base", "harmonics", "spatial_amp", "spatial")
 
 
 def _fmt(value) -> str:
@@ -132,12 +138,10 @@ def render_config(cfg: RunConfig) -> str:
             value = getattr(section, name)
             if isinstance(value, CoefficientField):
                 prefix = _FIELD_PREFIX.get(name, name)
-                harmonics = ", ".join(_fmt_harmonic(h) for h in value.harmonics)
-                lines.append(f"{prefix}_base = {_fmt(value.base)}")
-                lines.append(f"{prefix}_harmonics = {harmonics}")
-                lines.append(f"{prefix}_spatial_amp = {_fmt(value.spatial_amp)}")
-                lines.append(f"{prefix}_spatial = {value.spatial}")
-                lines.append(f"{prefix}_floor = {_fmt(value.floor)}")
+                for part in _FIELD_PARTS:
+                    text = _fmt(tuple(map(_fmt_harmonic, value.harmonics)) if part == "harmonics"
+                                else getattr(value, part))
+                    lines.append(f"{prefix}_{part} = {text}")
             else:
                 lines.append(f"{name} = {_fmt(value)}")
         lines.append("")

@@ -42,10 +42,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.J < 2:
             raise ValueError("J must be >= 2")
-        if not (self.dt > 0 and self.horizon >= self.dt):
-            raise ValueError("need 0 < dt <= horizon")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.dt <= self.horizon < np.inf:
+            raise ValueError("need 0 < dt <= horizon, both finite")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def lyapunov_exponent(
     block's arithmetic is that of a lone shift, so it equals the minimum of
     the single-shift estimates exactly.
     """
-    if not L > 0:
-        raise ValueError("L must be positive")
+    if not 0 < L < np.inf:
+        raise ValueError("L must be positive and finite")
     nb = len(shifts)
     if nb < 1:
         raise ValueError("need at least one shift")
@@ -180,6 +180,14 @@ def _bump_mean(s: np.ndarray, dt: float, i0: int, i1: int) -> np.ndarray:
     return np.sum(w * np.diff(s[:, i0:i1 + 1], axis=1), axis=1) / (dt * np.sum(w))
 
 
+def checked_L_list(L_list: Sequence[float]) -> Tuple[float, ...]:
+    """L_list as a tuple; a ValueError unless it is finite, positive and strictly increasing."""
+    Ls = tuple(L_list)
+    if not all(a < b for a, b in zip((0.0,) + Ls, Ls + (np.inf,))):
+        raise ValueError(f"half-widths must be finite, positive and increasing, got {Ls}")
+    return Ls
+
+
 @dataclass
 class SweepResult:
     entries: List[Tuple[float, LyapunovEstimate]]
@@ -190,10 +198,7 @@ def lambda_sweep(
     mat: LinearizationMatrix, D, L_list: Sequence[float], cfg: EstimatorConfig = EstimatorConfig()
 ) -> SweepResult:
     """Estimate the exponent at each L; flag decreases beyond the two error bars."""
-    Ls = list(L_list)
-    if any(b <= a for a, b in zip(Ls, Ls[1:])):
-        raise ValueError("L_list must be sorted ascending")
-    entries = [(L, lyapunov_exponent(mat, L, D, cfg)) for L in Ls]
+    entries = [(L, lyapunov_exponent(mat, L, D, cfg)) for L in checked_L_list(L_list)]
     violations = []
     for (L1, e1), (L2, e2) in zip(entries, entries[1:]):
         if e2.lam < e1.lam - (e1.err + e2.err):

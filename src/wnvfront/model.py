@@ -11,6 +11,7 @@ with a1 = alpha1*beta/N1, a2 = alpha2*beta/N1, d1 = gamma, d2 = d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -35,31 +36,31 @@ class ModelSpec:
     mu: float = 0.1
     h0: float = 2.0
     alpha1: CoefficientField = CoefficientField(
-        0.88, (TemporalHarmonic(0.56, 0.5, "cos"),), 0.088, "ratio2_cos", 1e-3
+        0.88, (TemporalHarmonic(0.56, 0.5, "cos"),), 0.088, "ratio2_cos"
     )
     alpha2: CoefficientField = CoefficientField(
-        0.16, (TemporalHarmonic(0.2, np.pi / 3.0, "cos"),), 0.024, "ratio1_cos", 1e-3
+        0.16, (TemporalHarmonic(0.2, np.pi / 3.0, "cos"),), 0.024, "ratio1_cos"
     )
     # bird recovery rate d1
     gamma_field: CoefficientField = CoefficientField(
-        0.1, (TemporalHarmonic(0.3, 1.0 / 3.0, "sin"),), 0.02, "ratio2_sin", 1e-3
+        0.1, (TemporalHarmonic(0.3, 1.0 / 3.0, "sin"),), 0.02, "ratio2_sin"
     )
     # mosquito death rate d2
     death_field: CoefficientField = CoefficientField(
-        0.029, (TemporalHarmonic(0.1, np.pi / 2.0, "sin"),), 0.0016, "ratio1_sin", 1e-3
+        0.029, (TemporalHarmonic(0.1, np.pi / 2.0, "sin"),), 0.0016, "ratio1_sin"
     )
 
     def __post_init__(self):
         for name in ("D1", "D2", "N1", "N2", "beta", "mu", "h0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
-    # Derived reduced coefficients
-    @property
+    # Derived reduced coefficients, built once per model
+    @cached_property
     def a1(self) -> CoefficientField:
         return self.alpha1.scaled(self.beta / self.N1)
 
-    @property
+    @cached_property
     def a2(self) -> CoefficientField:
         return self.alpha2.scaled(self.beta / self.N1)
 
@@ -142,9 +143,9 @@ class InitialData:
         if abs(U[0]) > 1e-12 or abs(U[-1]) > 1e-12 or abs(V[0]) > 1e-12 or abs(V[-1]) > 1e-12:
             raise ValueError("initial profiles must vanish at the fronts x = +-h0")
         Ui, Vi = U[1:-1], V[1:-1]
-        if np.any(Ui <= 0) or np.any(Ui > spec.N1):
+        if not np.all((0 < Ui) & (Ui <= spec.N1)):
             raise ValueError("U0 must satisfy 0 < U0 <= N1 on (-h0, h0)")
-        if np.any(Vi <= 0) or np.any(Vi > spec.N2):
+        if not np.all((0 < Vi) & (Vi <= spec.N2)):
             raise ValueError("V0 must satisfy 0 < V0 <= N2 on (-h0, h0)")
 
     @classmethod

@@ -72,10 +72,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.J < 16:
             raise ValueError("J must be >= 16")
-        if not (0 < self.dt_min <= self.dt0 <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt0 <= dt_max")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not (0 < self.dt_min <= self.dt0 <= self.dt_max < np.inf):
+            raise ValueError("need 0 < dt_min <= dt0 <= dt_max, all finite")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError("t_end must be positive and finite")
         if not all(0 <= t < np.inf for t in self.output_times):
             raise ValueError(f"output_times must be finite and nonnegative, got {self.output_times}")
         object.__setattr__(self, "output_times", tuple(self.output_times))

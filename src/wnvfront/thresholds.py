@@ -126,8 +126,8 @@ def find_L_star(
     at the horizon, or out of the positive cone) raises NotConvergedError.
     """
     L_lo, L_hi = bracket
-    if not (0 < L_lo < L_hi):
-        raise ValueError("need 0 < L_lo < L_hi")
+    if not 0 < L_lo < L_hi < np.inf:
+        raise ValueError("need 0 < L_lo < L_hi, both finite")
 
     def lam(L: float) -> float:
         est = lyapunov_exponent(mat, L, D, cfg.estimator, shifts=cfg.shifts)
@@ -198,8 +198,8 @@ def find_mu_star(
         return verdict
 
     mu_lo, mu_hi = bracket
-    if not (0 < mu_lo < mu_hi):
-        raise ValueError("need 0 < mu_lo < mu_hi")
+    if not 0 < mu_lo < mu_hi < np.inf:
+        raise ValueError("need 0 < mu_lo < mu_hi, both finite")
     if probe(mu_lo) != "Vanishing":
         raise BadBracketError(f"mu_lo={mu_lo} does not vanish")
     if probe(mu_hi) != "Spreading":

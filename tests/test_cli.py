@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import wnvfront.cli as cli
+import wnvfront.lyapunov as lyapunov
 import wnvfront.thresholds as th
 from wnvfront.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, cli_main
 from wnvfront.config import load_config
@@ -26,18 +27,18 @@ horizon = 10.0
 
 
 def _fast_cfg_with(setting):
-    """FAST_CFG with ``setting`` ("[section]\nkey = value") in that section, each key once."""
-    header, line = setting.split("\n")
-    key = line.partition("=")[0].strip()
+    """FAST_CFG with ``setting`` ("[section]\nkey = value\n...") in that section, each key once."""
+    header, *new = setting.split("\n")
+    keys = {line.partition("=")[0].strip() for line in new}
     lines, section = [], None
     for old in FAST_CFG.strip().splitlines():
         section = old if old.startswith("[") else section
-        if section != header or old.partition("=")[0].strip() != key:
+        if section != header or old.partition("=")[0].strip() not in keys:
             lines.append(old)
         if old == header:
-            lines.append(line)
+            lines.extend(new)
     if header not in lines:
-        lines += [header, line]
+        lines += [header, *new]
     return "\n".join(lines) + "\n"
 
 
@@ -232,22 +233,47 @@ def test_nonpositive_t_end_is_config_error(tmp_path, capsys, command, setting):
     assert not out.exists()
 
 
+# a field that dips below zero between the points of a 200 x 200 sample
+_DIPPING_GAMMA = ("[model]\ngamma_base = 1.0\n"
+                  "gamma_harmonics = 0.9:cos:1.0, 0.9:cos:1.4142135623730951\n"
+                  "gamma_spatial_amp = -0.014\ngamma_spatial = constant_one")
+
+
 @pytest.mark.parametrize("command, setting", [
     ("find-lstar", "[run]\nshifts = nan"),
     ("find-lstar", "[run]\nshifts ="),
     ("simulate", "[solver]\noutput_times = -1.0, nan"),
-], ids=["nan_shift", "no_shift", "bad_output_times"])
+    ("simulate", _DIPPING_GAMMA),
+    ("find-mustar --t-end inf --grid 32 --L-star 1.27", ""),
+    ("simulate", "[solver]\nt_end = inf\noutput_times = 1.0"),
+    ("simulate", "[model]\nmu = inf"),
+    ("simulate", "[model]\nD1 = inf"),
+    ("simulate", "[model]\nbeta = inf"),
+    ("simulate", "[model]\nh0 = inf"),
+    ("simulate", "[model]\nalpha1_harmonics = 0.5:cos:inf"),
+    ("simulate", "[model]\nalpha1_base = inf"),
+    ("simulate", "[model]\nalpha1_spatial_amp = nan"),
+    ("simulate", "[init]\namp_U = nan"),
+    ("lyapunov", "[lyapunov]\nhorizon = inf"),
+    ("find-lstar", "[run]\nL_hi = inf"),
+    ("sweep-lambda", "[run]\nL_list = 0.5, inf"),
+    ("sweep-lambda --L-list 0.5,inf", ""),
+], ids=["nan_shift", "no_shift", "bad_output_times", "dipping_field", "t_end_flag_inf",
+        "t_end_inf", "mu_inf", "D1_inf", "beta_inf", "h0_inf", "frequency_inf",
+        "base_inf", "spatial_amp_nan", "amp_U_nan", "horizon_inf", "L_hi_inf", "L_list_inf",
+        "L_list_flag_inf"])
 def test_bad_run_setting_is_config_error(tmp_path, capsys, monkeypatch, command, setting):
     # rejected while the config is read, before anything is integrated
     def must_not_run(*args, **kwargs):
         raise AssertionError("integrated despite a bad setting")
 
-    monkeypatch.setattr(th, "lyapunov_exponent", must_not_run)
-    monkeypatch.setattr(cli, "simulate", must_not_run)
+    for module, name in ((th, "lyapunov_exponent"), (th, "simulate"), (cli, "simulate"),
+                         (cli, "lyapunov_exponent"), (lyapunov, "lyapunov_exponent")):
+        monkeypatch.setattr(module, name, must_not_run)
     bad = tmp_path / "bad.cfg"
-    bad.write_text(_fast_cfg_with(setting), encoding="utf-8")
+    bad.write_text(_fast_cfg_with(setting) if setting else FAST_CFG, encoding="utf-8")
     out = tmp_path / "o"
-    assert cli_main(["--config", str(bad), "--out", str(out), command]) == EXIT_USAGE
+    assert cli_main(["--config", str(bad), "--out", str(out), *command.split()]) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
@@ -268,7 +294,8 @@ def test_flag_the_subcommand_ignores_is_usage_error(fast_cfg, tmp_path, capsys, 
     "[solver]\nnewton_tol = 1e-10",
     "[lyapunov]\nrenorm_lo = 1e-6",
     "[init]\nkind = cosine",
-], ids=["newton_tol", "renorm_lo", "kind"])
+    "[model]\ngamma_floor = 0.001",
+], ids=["newton_tol", "renorm_lo", "kind", "gamma_floor"])
 def test_constant_is_not_a_config_key(tmp_path, capsys, setting):
     bad = tmp_path / "bad.cfg"
     bad.write_text(_fast_cfg_with(setting), encoding="utf-8")

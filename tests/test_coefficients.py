@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wnvfront.coefficients import (
+    _PROFILE_RANGES,
+    PROFILE_KINDS,
     CoefficientField,
     LinearizationMatrix,
     TemporalHarmonic,
@@ -23,7 +25,7 @@ def almost_period(field: CoefficientField, eps: float, t_max: float = 1e4) -> fl
     """
     if field.is_autonomous:
         return 1.0  # every tau works; return a token value
-    base_period = field.harmonics[0].period
+    base_period = 2.0 * np.pi / field.harmonics[0].frequency
     n_max = max(1, int(t_max / base_period))
     k = np.arange(1, n_max + 1)
     taus = k * base_period
@@ -105,12 +107,56 @@ def test_positivity_on_dense_sample():
     x = np.linspace(-50, 50, 200)[:, None]
     t = np.linspace(0, 200, 200)[None, :]
     for f in (spec.alpha1, spec.alpha2, spec.gamma_field, spec.death_field):
-        assert np.min(f.eval(x, t)) >= f.floor
+        sampled = np.min(f.eval(x, t))
+        assert sampled >= 1e-3
+        assert f.infimum <= sampled
 
 
 def test_negative_field_rejected():
     with pytest.raises(ValueError):
-        CoefficientField(base=0.1, spatial_amp=5.0, spatial="ratio2_cos", floor=1e-3)
+        CoefficientField(base=0.1, spatial_amp=5.0, spatial="ratio2_cos")
+
+
+def test_dip_between_samples_rejected():
+    # two incommensurate harmonics bring the field below -0.003 near t = 15.6, between
+    # the points of a 200 x 200 sample of [-50, 50] x [0, 200]; its infimum is -0.004
+    harmonics = (TemporalHarmonic(0.9, 1.0), TemporalHarmonic(0.9, np.sqrt(2.0)))
+    with pytest.raises(ValueError, match="infimum over x and t is -0.004"):
+        CoefficientField(1.0, harmonics, -0.014, "constant_one")
+    positive = CoefficientField(1.0, harmonics, 0.0, "constant_one")
+    assert np.min(positive.eval(0.0, np.linspace(15.5, 15.7, 2001))) - 0.014 < -0.003
+    assert np.min(positive.eval(0.0, np.linspace(0.0, 200.0, 200))) - 0.014 > 1e-3
+
+
+@pytest.mark.parametrize("kind", [k for k in PROFILE_KINDS if k != "constant_one"])
+def test_profile_ranges_bracket_a_dense_sample(kind):
+    # beyond |x| = 60 each profile is below (2 + |x|) / (1 + x^2) < 0.02 in size, so
+    # its extremes over the real line lie in [-60, 60]
+    values = spatial_profile(kind, np.linspace(-60.0, 60.0, 1_200_001))
+    lo, hi = _PROFILE_RANGES[kind]
+    assert lo <= values.min() <= lo + 1e-7
+    assert hi - 1e-7 <= values.max() <= hi
+    assert min(-lo, hi) > 62.0 / 3601.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(-0.95, 0.95), st.floats(0.1, 3.0),
+       st.sampled_from(("cos", "sin")), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0),
+       st.sampled_from(PROFILE_KINDS))
+@example(-0.5, 0.5, 1.0, "cos", 0.0, 1.0, "constant_one")  # a negative base: infimum 0.25
+def test_single_harmonic_infimum_matches_sample(base, amp, freq, kind, phase, spatial_amp,
+                                                profile):
+    harmonic = TemporalHarmonic(amp, freq, kind, phase)
+    # one period in t, and the part of the line that holds every profile's extremes
+    t = np.linspace(0.0, 2.0 * np.pi / freq, 20_001)
+    x = np.linspace(-6.0, 6.0, 24_001)
+    sampled = np.min(base * harmonic.factor(t)) + np.min(spatial_amp * spatial_profile(profile, x))
+    if sampled > 1e-6:
+        field = CoefficientField(base, (harmonic,), spatial_amp, profile)
+        assert field.infimum == pytest.approx(sampled, abs=1e-6)
+    elif sampled < -1e-6:
+        with pytest.raises(ValueError, match="positive"):
+            CoefficientField(base, (harmonic,), spatial_amp, profile)
 
 
 def test_unknown_profile_rejected():
@@ -199,7 +245,7 @@ _shifts = st.floats(-1e3, 1e3)
 @settings(max_examples=60, deadline=None)
 @given(_harmonics, _shifts, _shifts)
 def test_shifts_compose(harmonics, a, b):
-    f = CoefficientField(1.0, harmonics, 0.0, floor=1e-3, _validate=False)
+    f = CoefficientField(1.0, harmonics, 0.0)
     x = np.linspace(-5.0, 5.0, 7)[:, None]
     t = np.linspace(0.0, 50.0, 11)[None, :]
     # the phases add in a different order, so equal up to rounding

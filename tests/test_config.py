@@ -89,6 +89,15 @@ def test_syntax_errors():
         parse_config("[model]\nalpha1_spatial = no_such_profile\n")
 
 
+@pytest.mark.parametrize("setting", [
+    "L_hi = inf", "L_lo = 0.0", "L_lo = 3.5", "mu_hi = nan", "mu_lo = -0.1",
+    "L_list = 0.5, inf", "L_list = 1.0, 0.5", "L_list = 0.0, 0.5", "L_list = 0.5, 0.5",
+])
+def test_bad_run_bracket_or_sweep_list_rejected(setting):
+    with pytest.raises(ValidationError):
+        parse_config(f"[run]\n{setting}\n")
+
+
 def test_negative_diffusivity_rejected():
     with pytest.raises(ValidationError):
         parse_config("[model]\nD1 = -3\n")
@@ -130,7 +139,7 @@ def test_shipped_corpus_parses():
 
 
 def test_render_writes_every_field():
-    # a section's keys are exactly its dataclass fields, a coefficient field as five keys
+    # a section's keys are exactly its dataclass fields, a coefficient field as four keys
     cfg = RunConfig()
     written = _keys(render_config(cfg))
     for section in fields(cfg):
@@ -139,7 +148,7 @@ def test_render_writes_every_field():
         plain = [n for n, v in values.items() if not isinstance(v, CoefficientField)]
         keys = [k for s, k in written if s == section.name]
         assert [k for k in keys if k in plain] == plain, section.name
-        assert len(keys) == len(plain) + 5 * (len(values) - len(plain)), section.name
+        assert len(keys) == len(plain) + 4 * (len(values) - len(plain)), section.name
 
 
 def _keys(text):
@@ -171,7 +180,7 @@ _fractions = st.floats(min_value=0.0, max_value=0.9)
 
 @st.composite
 def _fields(draw):
-    """A coefficient field that passes the positivity check by construction."""
+    """A coefficient field with a positive infimum by construction."""
     harmonics = tuple(
         TemporalHarmonic(draw(st.floats(-0.9, 0.9)), draw(st.floats(0.01, 10.0)),
                          draw(st.sampled_from(("cos", "sin"))), draw(st.floats(-1e3, 1e3)))
@@ -183,10 +192,11 @@ def _fields(draw):
         lowest *= 1.0 - abs(h.amplitude)
     # every profile stays within [-2.2, 2.2]
     return CoefficientField(base, harmonics, draw(_fractions) * lowest / 2.2,
-                            draw(st.sampled_from(PROFILE_KINDS)), 1e-3 * lowest)
+                            draw(st.sampled_from(PROFILE_KINDS)))
 
 
-_tuples = st.lists(st.floats(-1e3, 1e3), max_size=4).map(tuple)
+_halfwidths = st.lists(_floats, max_size=4, unique=True).map(sorted).map(tuple)  # increasing
+_brackets = st.lists(_floats, min_size=2, max_size=2, unique=True).map(sorted)  # lo < hi
 _times = st.lists(st.floats(0.0, 1e3), max_size=4).map(tuple)  # output times are nonnegative
 _shifts = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4).map(tuple)  # at least one shift
 
@@ -212,11 +222,12 @@ def _configs(draw):
         cfg.lyapunov, J=draw(st.integers(2, 4000)), dt=dt, horizon=horizon, tol=draw(_floats),
     )
     search_dt, search_horizon = sorted(draw(st.lists(_floats, min_size=2, max_size=2)))
+    (L_lo, L_hi), (mu_lo, mu_hi) = draw(_brackets), draw(_brackets)
     run = replace(
         cfg.run, out=draw(st.text("abcxyz0123_-./", min_size=1)),
-        **{k: draw(_floats) for k in ("L_lo", "L_hi", "mu_lo", "mu_hi")},
+        L_lo=L_lo, L_hi=L_hi, mu_lo=mu_lo, mu_hi=mu_hi,
         search_dt=search_dt, search_horizon=search_horizon,
-        shifts=draw(_shifts), L_list=draw(_tuples), search_J=draw(st.integers(2, 4000)),
+        shifts=draw(_shifts), L_list=draw(_halfwidths), search_J=draw(st.integers(2, 4000)),
     )
     return RunConfig(model=model, init=init, solver=solver, lyapunov=lyapunov, run=run)
 

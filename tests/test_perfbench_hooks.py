@@ -6,7 +6,9 @@ result field would leave a hook missing, and the per-layer metrics that need
 it would silently drop out of a traced benchmark run.
 """
 
+import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +19,8 @@ from wnvfront.lyapunov import EstimatorConfig
 from wnvfront.solver import SolverConfig
 from wnvfront.thresholds import LStarConfig, MuStarConfig
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -58,3 +61,22 @@ def test_every_benchmark_hook_is_installed_and_runs():
         assert counter in tracer.counters, counter
     assert metrics["thresholds.halfwidths"] > 0
     assert thresholds.find_L_star is unwrapped
+
+
+def test_benchmark_selftest_and_inputs_build():
+    # the benchmark reads configs/ with configparser (checks.py) and with load_config
+    # (the workload builders); build every input without running a round
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        ref = workloads.reference(ROOT)
+        for name, build in workloads.BUILDERS.items():
+            assert build(ROOT).ops, name
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in ("workloads", "checks"):
+            sys.modules.pop(name, None)
+    assert set(ref) == {"reference.cfg", "paper_fig1c.cfg"}

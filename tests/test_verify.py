@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wnvfront as w
 from wnvfront.model import InitialData, ModelSpec
@@ -54,9 +56,39 @@ def test_comparison_ordered_pair(ref_spec, fast_solver):
     assert report["front_margin"] >= -1e-8
 
 
+_ORDERED_SOLVER = SolverConfig(J=48, dt0=0.05, dt_min=0.05, dt_max=0.05, t_end=5.0,
+                               output_times=(2.5, 5.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.01, 0.9), st.floats(0.01, 0.9), st.floats(1.1, 2.0), st.floats(1.1, 2.0),
+       st.floats(0.05, 1.0))
+def test_ordered_data_stay_ordered(frac_U, frac_V, factor_U, factor_V, mu):
+    # amplitudes as fractions of the capacities; the upper pair is the lower one scaled
+    # up, capped at capacity.  Both components are raised by at least 10 %, since an
+    # unraised one can fall out of order (test_unraised_component_stays_ordered)
+    spec = ModelSpec(mu=mu)
+    lo = InitialData(amp_U=frac_U * spec.N1, amp_V=frac_V * spec.N2)
+    hi = InitialData(amp_U=min(factor_U * lo.amp_U, spec.N1),
+                     amp_V=min(factor_V * lo.amp_V, spec.N2))
+    report = comparison_suite(spec, lo, hi, _ORDERED_SOLVER)
+    assert report["status_lo"] == report["status_hi"] == "completed"
+    assert report["passed"], report
+
+
+@pytest.mark.xfail(strict=True, reason="the step keeps the order only up to a time-step error")
+def test_unraised_component_stays_ordered():
+    # the same V data under doubled U data: at dt = 0.05 the lower run's V ends up about
+    # 0.015 above the upper run's, at J = 48 and at J = 192; at dt = 0.025 they stay ordered
+    spec = ModelSpec(mu=1.0)
+    lo = InitialData(amp_U=0.5 * spec.N1, amp_V=0.7 * spec.N2)
+    hi = InitialData(amp_U=spec.N1, amp_V=lo.amp_V)
+    assert comparison_suite(spec, lo, hi, _ORDERED_SOLVER)["passed"]
+
+
 def _autonomous_spec():
     base = ModelSpec(mu=0.1, h0=2.0)
-    strip = lambda f: replace(f, harmonics=(), _validate=False)
+    strip = lambda f: replace(f, harmonics=())
     return ModelSpec(
         D1=3.0, D2=0.125, N1=1.0, N2=20.0, beta=0.6,
         alpha1=strip(base.alpha1), alpha2=strip(base.alpha2),
