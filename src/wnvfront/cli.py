@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification failur
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -72,9 +71,7 @@ def _load(args) -> RunConfig:
         model=_override(cfg.model, h0=getattr(args, "h0", None), mu=getattr(args, "mu", None)),
         solver=_override(cfg.solver, t_end=getattr(args, "t_end", None),
                          J=getattr(args, "grid", None)),
-        run=_override(cfg.run, out=args.out if args.out is not None
-                      else os.environ.get("WNV_OUT") or None,
-                      L_list=getattr(args, "L_list", None)),
+        run=_override(cfg.run, out=args.out, L_list=getattr(args, "L_list", None)),
     )
 
 
@@ -113,9 +110,9 @@ def cmd_lyapunov(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     spec = cfg.model_spec()
+    out = _outdir(cfg)
     Ls = cfg.run.L_list or np.linspace(0.4, 3.0, 10)
     result = lambda_sweep(spec.linearization(), (spec.D1, spec.D2), Ls, cfg.lyapunov)
-    out = _outdir(cfg)
     write_csv(
         out / "lambda_sweep.csv",
         ["L", "lambda", "err"],
@@ -130,7 +127,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def _find_lstar(cfg: RunConfig):
-    """find_L_star on the [run] bracket and shifts with the search estimator."""
+    """find_L_star on the [run] bracket with the program's search."""
     spec = cfg.model_spec()
     return find_L_star(spec.linearization(), (spec.D1, spec.D2), (cfg.run.L_lo, cfg.run.L_hi),
                        cfg.search_config())
@@ -144,8 +141,8 @@ def _classify(cfg: RunConfig, L_star: float):
     return classify(_simulate(cfg), L_star)
 
 
-def _find_mustar(cfg: RunConfig, L_star: float):
-    """find_mu_star on the [run] bracket with [solver] probes, writing its transcript.
+def _find_mustar(cfg: RunConfig, L_star: float, out: Path):
+    """find_mu_star on the [run] bracket with [solver] probes, writing its transcript to out.
 
     Returns (mu_star, iterations, transcript monotone).
     """
@@ -154,7 +151,7 @@ def _find_mustar(cfg: RunConfig, L_star: float):
         cfg.model_spec(), cfg.initial_data(), (cfg.run.mu_lo, cfg.run.mu_hi), mcfg
     )
     write_csv(
-        _outdir(cfg) / "mustar_transcript.csv",
+        out / "mustar_transcript.csv",
         ["mu", "spreading", "t_end"],
         [(r.mu, 1.0 if r.verdict == "Spreading" else 0.0, r.t_end) for r in transcript],
     )
@@ -168,7 +165,8 @@ def cmd_find_lstar(cfg: RunConfig, args) -> int:
 
 
 def cmd_find_mustar(cfg: RunConfig, args) -> int:
-    mu_star, iters, monotone = _find_mustar(cfg, _resolve_lstar(cfg, args))
+    out = _outdir(cfg)
+    mu_star, iters, monotone = _find_mustar(cfg, _resolve_lstar(cfg, args), out)
     print(f"mu_star={mu_star:.4f} iterations={iters} monotone={monotone}")
     return EXIT_OK
 
@@ -239,7 +237,7 @@ def cmd_reproduce_paper(cfg: RunConfig, args) -> int:
     mu_bracket_ok = True
     try:
         mu_star, _, monotone = _find_mustar(replace(cfg, model=cfg.model.with_h0(MU_STAR_H0)),
-                                            L_star)
+                                            L_star, out)
     except BadBracketError as e:
         mu_bracket_ok = False
         print(f"mu bracket does not straddle the threshold: {e}", file=sys.stderr)
@@ -308,6 +306,9 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         # inputs the config cannot check alone, such as --half-width -1 or
         # --L-star nan, or verify's comparison data above a small capacity N1
         print(f"invalid input: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as e:  # an output that cannot be written, such as an --out naming a file
+        print(f"cannot write output: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -66,11 +66,7 @@ class RunSection:
     L_hi: float = LSTAR_BRACKET[1]
     mu_lo: float = MU_BRACKET[0]
     mu_hi: float = MU_BRACKET[1]
-    shifts: Tuple[float, ...] = LStarConfig.shifts
     L_list: Tuple[float, ...] = ()
-    search_J: int = LStarConfig.estimator.J
-    search_dt: float = LStarConfig.estimator.dt
-    search_horizon: float = LStarConfig.estimator.horizon
 
     def __post_init__(self):
         if not (0 < self.L_lo < self.L_hi < np.inf and 0 < self.mu_lo < self.mu_hi < np.inf):
@@ -97,13 +93,9 @@ class RunConfig:
         data = np.genfromtxt(s.file, delimiter=",", names=True)
         return InitialData.from_samples(data["x"], data["U"], data["V"])
 
-    def search_estimator_config(self) -> EstimatorConfig:
-        r = self.run
-        return replace(self.lyapunov, J=r.search_J, dt=r.search_dt, horizon=r.search_horizon)
-
     def search_config(self) -> LStarConfig:
-        """The L* search that find-lstar runs: the [run] shifts with the search estimator."""
-        return LStarConfig(estimator=self.search_estimator_config(), shifts=self.run.shifts)
+        """The L* search that find-lstar runs: the program's LStarConfig at the [lyapunov] tol."""
+        return LStarConfig(estimator=replace(LStarConfig.estimator, tol=self.lyapunov.tol))
 
 
 # section name -> its dataclass, in file order
@@ -203,7 +195,10 @@ def _parse_field(prefix: str, default: CoefficientField, pending: dict) -> Coeff
             parts[part] = value
         else:
             parts[part] = _parse_value(raw_value, 0.0, line_no)
-    return _validated(replace, default, **parts) if parts else default
+    try:
+        return replace(default, **parts) if parts else default
+    except ValueError as e:
+        raise ValidationError(f"{prefix}_*: {e}") from e
 
 
 def _validated(build, *args, **kwargs):
@@ -273,9 +268,5 @@ def _parse(text: str, root: Path) -> RunConfig:
         built[section_name] = _validated(cls, **kwargs)
     cfg = RunConfig(**built)
     _validated(lambda: cfg.initial_data().validate(cfg.model))
-    try:
-        cfg.search_config()
-    except ValueError as e:
-        raise ValidationError(f"[run] search: {e}") from e
     return cfg
 

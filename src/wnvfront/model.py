@@ -138,6 +138,8 @@ class InitialData:
         """Check endpoint zeros and 0 < U0 <= N1, 0 < V0 <= N2 on the interior."""
         h0 = spec.h0
         x = np.linspace(-h0, h0, 401)
+        if self.is_sampled:  # a piecewise-linear profile takes its extremes at the samples
+            x = np.union1d(x, self.x_samples[np.abs(self.x_samples) < h0])
         U = self.u0(x, h0)
         V = self.v0(x, h0)
         if abs(U[0]) > 1e-12 or abs(U[-1]) > 1e-12 or abs(V[0]) > 1e-12 or abs(V[-1]) > 1e-12:

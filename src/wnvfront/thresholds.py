@@ -103,7 +103,7 @@ def _bisect(above: Callable[[float], bool], lo: float, hi: float, tol: float) ->
 
 @dataclass(frozen=True)
 class LStarConfig:
-    # cheaper than a lone estimate's defaults; the [run] search_* keys default to it
+    # cheaper than a lone estimate's defaults; find-lstar runs it at the [lyapunov] tol
     estimator: EstimatorConfig = EstimatorConfig(J=128, dt=0.02, horizon=400.0)
     shifts: Tuple[float, ...] = DEFAULT_SHIFTS
     bracket_tol: float = 1e-2

@@ -87,6 +87,11 @@ def regime_verdicts(regime_runs, L_star):
     return {case: classify(traj, L_star) for case, (traj, _) in regime_runs.items()}
 
 
+def test_lstar_is_the_one_readme_quotes(L_star):
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    assert f"`L_star={L_star:.4f} iterations=" in readme
+
+
 def test_criterion_01_regime_dichotomy(regime_runs, regime_verdicts):
     details = []
     ok = True

@@ -85,13 +85,6 @@ def test_simulate_deterministic_outputs(fast_cfg, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_simulate_env_out_dir(fast_cfg, tmp_path, monkeypatch):
-    out = tmp_path / "env_out"
-    monkeypatch.setenv("WNV_OUT", str(out))
-    assert cli_main(["--config", fast_cfg, "simulate"]) == EXIT_OK
-    assert (out / "boundaries.csv").exists()
-
-
 def test_overrides_applied(fast_cfg, tmp_path, capsys):
     out = tmp_path / "o"
     rc = cli_main(["--config", fast_cfg, "--out", str(out), "simulate",
@@ -209,9 +202,7 @@ def test_verify_comparison_data_within_capacity(tmp_path, monkeypatch):
     "[lyapunov]\ndt = 0",
     "[lyapunov]\nhorizon = 0.001",
     "[lyapunov]\ntol = 0",
-    "[run]\nsearch_dt = 0",
-    "[run]\nsearch_J = 1",
-], ids=["dt_zero", "horizon_below_dt", "tol_zero", "search_dt_zero", "search_J_one"])
+], ids=["dt_zero", "horizon_below_dt", "tol_zero"])
 def test_bad_estimator_setting_is_usage_error(tmp_path, capsys, setting, command):
     bad = tmp_path / "bad.cfg"
     bad.write_text(_fast_cfg_with(setting), encoding="utf-8")
@@ -240,8 +231,6 @@ _DIPPING_GAMMA = ("[model]\ngamma_base = 1.0\n"
 
 
 @pytest.mark.parametrize("command, setting", [
-    ("find-lstar", "[run]\nshifts = nan"),
-    ("find-lstar", "[run]\nshifts ="),
     ("simulate", "[solver]\noutput_times = -1.0, nan"),
     ("simulate", _DIPPING_GAMMA),
     ("find-mustar --t-end inf --grid 32 --L-star 1.27", ""),
@@ -258,7 +247,7 @@ _DIPPING_GAMMA = ("[model]\ngamma_base = 1.0\n"
     ("find-lstar", "[run]\nL_hi = inf"),
     ("sweep-lambda", "[run]\nL_list = 0.5, inf"),
     ("sweep-lambda --L-list 0.5,inf", ""),
-], ids=["nan_shift", "no_shift", "bad_output_times", "dipping_field", "t_end_flag_inf",
+], ids=["bad_output_times", "dipping_field", "t_end_flag_inf",
         "t_end_inf", "mu_inf", "D1_inf", "beta_inf", "h0_inf", "frequency_inf",
         "base_inf", "spatial_amp_nan", "amp_U_nan", "horizon_inf", "L_hi_inf", "L_list_inf",
         "L_list_flag_inf"])
@@ -278,6 +267,43 @@ def test_bad_run_setting_is_config_error(tmp_path, capsys, monkeypatch, command,
     assert not out.exists()
 
 
+def test_rejected_field_names_its_keys(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(_fast_cfg_with(_DIPPING_GAMMA), encoding="utf-8")
+    assert cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "simulate"]) == EXIT_USAGE
+    assert "gamma_*: coefficient field infimum" in capsys.readouterr().err
+
+
+def test_sampled_init_is_checked_at_its_samples(tmp_path, capsys):
+    # U dips to -0.01 at x = 0.005, between two points of a 401-point grid on [-2, 2]
+    samples = tmp_path / "dip.csv"
+    samples.write_text("x,U,V\n-2,0,0\n0.004,0.05,1\n0.005,-0.01,1\n0.006,0.05,1\n2,0,0\n",
+                       encoding="utf-8")
+    cfg = tmp_path / "dip.cfg"
+    cfg.write_text(FAST_CFG + f"[init]\nfile = {samples}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli_main(["--config", str(cfg), "--out", str(out), "simulate",
+                     "--grid", "800", "--t-end", "1"]) == EXIT_USAGE
+    assert "U0 must satisfy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-lambda", "find-mustar --L-star 1.27"])
+def test_out_that_names_a_file_is_usage_error(fast_cfg, tmp_path, monkeypatch, capsys, command):
+    # the output directory is made before any work is done
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran although the output directory cannot be made")
+
+    for name in ("simulate", "lambda_sweep", "find_mu_star"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    assert cli_main(["--config", fast_cfg, "--out", str(afile), *command.split()]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and str(afile) in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["lyapunov", "--grid", "64"],
     ["find-lstar", "--t-end", "5"],
@@ -295,12 +321,17 @@ def test_flag_the_subcommand_ignores_is_usage_error(fast_cfg, tmp_path, capsys, 
     "[lyapunov]\nrenorm_lo = 1e-6",
     "[init]\nkind = cosine",
     "[model]\ngamma_floor = 0.001",
-], ids=["newton_tol", "renorm_lo", "kind", "gamma_floor"])
+    "[run]\nsearch_J = 128",
+    "[run]\nsearch_dt = 0.02",
+    "[run]\nsearch_horizon = 400.0",
+    "[run]\nshifts = 0.0",
+], ids=["newton_tol", "renorm_lo", "kind", "gamma_floor", "search_J", "search_dt",
+        "search_horizon", "shifts"])
 def test_constant_is_not_a_config_key(tmp_path, capsys, setting):
     bad = tmp_path / "bad.cfg"
     bad.write_text(_fast_cfg_with(setting), encoding="utf-8")
     assert cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "simulate"]) == EXIT_USAGE
-    assert "unknown key" in capsys.readouterr().err
+    assert re.match(r"config error: line \d+: unknown key", capsys.readouterr().err)
 
 
 def test_init_file_loads_samples(tmp_path):
@@ -346,6 +377,22 @@ def test_readme_cli_table_matches_commands():
         for name in re.findall(r"`([^`]+)`", names):
             documented[name] = tuple(listed.group(1).split()) if listed else ()
     assert documented == {name: flags for name, (_, _, flags) in cli._COMMANDS.items()}
+
+
+def test_readme_quoted_outputs_are_printed(tmp_path, capsys):
+    # the paragraph below the subcommand table quotes commands and what they print
+    paragraph = README.read_text(encoding="utf-8").split("On `configs/reference.cfg`, ", 1)[1]
+    printed, quoted = [], []
+    for span in re.findall(r"`([^`]*)`", paragraph.split("\n\n", 1)[0]):
+        argv = span.split()
+        if argv[0] in cli._COMMANDS:
+            assert cli_main(["--config", str(README.parent / "configs" / "reference.cfg"),
+                             "--out", str(tmp_path), *argv]) == EXIT_OK
+            printed += capsys.readouterr().out.splitlines()
+        elif "=" in span:
+            quoted.append(span)
+    assert len(quoted) == 3
+    assert printed == quoted
 
 
 def _failed(run):

@@ -45,8 +45,7 @@ def test_comments_and_partial_sections():
 
 
 def test_search_defaults_are_the_lstar_search():
-    assert LStarConfig().estimator == RunConfig().search_estimator_config()
-    assert LStarConfig().shifts == RunConfig().run.shifts
+    assert RunConfig().search_config() == LStarConfig()
 
 
 def test_unknown_key_reports_line():
@@ -128,6 +127,7 @@ def test_shipped_corpus_parses():
         assert cfg.model.h0 == h0, name
         assert cfg.model.mu == mu, name
         cfg.model_spec()  # builds and validates
+        assert cfg.search_config() == LStarConfig(), name
     # the first corpus entry is exactly the reference parameterization
     spec = load_config(CONFIGS / "paper_fig1a.cfg").model_spec()
     assert spec == ModelSpec(mu=0.1, h0=2.0)
@@ -169,9 +169,6 @@ def test_derived_configs_build():
     assert spec.h0 == 2.0
     assert cfg.solver.t_end == 300.0
     assert cfg.lyapunov.horizon == 2000.0
-    search = cfg.search_estimator_config()
-    assert search.horizon == cfg.run.search_horizon
-    assert search.J == cfg.run.search_J
 
 
 _floats = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -198,7 +195,6 @@ def _fields(draw):
 _halfwidths = st.lists(_floats, max_size=4, unique=True).map(sorted).map(tuple)  # increasing
 _brackets = st.lists(_floats, min_size=2, max_size=2, unique=True).map(sorted)  # lo < hi
 _times = st.lists(st.floats(0.0, 1e3), max_size=4).map(tuple)  # output times are nonnegative
-_shifts = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4).map(tuple)  # at least one shift
 
 
 @st.composite
@@ -221,13 +217,10 @@ def _configs(draw):
     lyapunov = replace(
         cfg.lyapunov, J=draw(st.integers(2, 4000)), dt=dt, horizon=horizon, tol=draw(_floats),
     )
-    search_dt, search_horizon = sorted(draw(st.lists(_floats, min_size=2, max_size=2)))
     (L_lo, L_hi), (mu_lo, mu_hi) = draw(_brackets), draw(_brackets)
     run = replace(
         cfg.run, out=draw(st.text("abcxyz0123_-./", min_size=1)),
-        L_lo=L_lo, L_hi=L_hi, mu_lo=mu_lo, mu_hi=mu_hi,
-        search_dt=search_dt, search_horizon=search_horizon,
-        shifts=draw(_shifts), L_list=draw(_halfwidths), search_J=draw(st.integers(2, 4000)),
+        L_lo=L_lo, L_hi=L_hi, mu_lo=mu_lo, mu_hi=mu_hi, L_list=draw(_halfwidths),
     )
     return RunConfig(model=model, init=init, solver=solver, lyapunov=lyapunov, run=run)
 

@@ -163,6 +163,7 @@ def test_find_mustar_raises_at_iteration_cap(monkeypatch, ref_spec):
 
 @pytest.mark.parametrize("build", [
     lambda: MuStarConfig(rel_tol=0.0), lambda: LStarConfig(bracket_tol=0.0),
+    lambda: LStarConfig(shifts=(np.nan,)), lambda: LStarConfig(shifts=()),
 ])
 def test_search_tolerances_must_be_positive(build):
     with pytest.raises(ValueError):
