@@ -27,7 +27,6 @@ from .lyapunov import (
 from .thresholds import (
     BadBracketError,
     Classification,
-    FailedRunError,
     LStarConfig,
     MuStarConfig,
     NotConvergedError,

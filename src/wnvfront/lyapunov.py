@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .coefficients import LinearizationMatrix
-from .solver import BANDS, banded_operator, interleave
+from .solver import BANDS, NonFiniteError, banded_operator, interleave
 
 FIRST_CHECKPOINT = 25.0  # checkpoints at FIRST_CHECKPOINT * 2**k below the horizon, then the horizon
 BURN_IN = 0.25  # the averaging window at checkpoint T is [BURN_IN * T, T]
@@ -136,9 +136,10 @@ def lyapunov_exponent(
         t = k * dt
         if not autonomous:
             ab = operator(t)
-        u = solve_banded(BANDS, ab, u.ravel() / dt).reshape(nb, -1)
+        # no finiteness check in the solve: a non-finite state is the NonFiniteError below
+        u = solve_banded(BANDS, ab, u.ravel() / dt, check_finite=False).reshape(nb, -1)
         if not np.all(np.isfinite(u)):
-            raise ArithmeticError(f"non-finite state in exponent integration at t={t}")
+            raise NonFiniteError(f"non-finite state in exponent integration at t={t}")
         sup = np.max(np.abs(u), axis=1)
         out = (sup < RENORM_LO) | (sup > RENORM_HI)  # the blocks to renormalise
         if out.any():

@@ -34,11 +34,11 @@ class NonFiniteError(ArithmeticError):
     """NaN or Inf appeared in the solution."""
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(ArithmeticError):
     """Newton iteration hit its iteration cap."""
 
 
-class BoundViolationError(RuntimeError):
+class BoundViolationError(ArithmeticError):
     """Solution left the admissible band by more than clipping noise."""
 
 
@@ -93,7 +93,6 @@ class Trajectory:
     sup_m: np.ndarray
     sup_n: np.ndarray
     snapshots: List[FrontState]
-    status: str  # completed | blowup | step_floor
 
     @property
     def width(self) -> np.ndarray:
@@ -273,8 +272,9 @@ def simulate(spec: ModelSpec, init: InitialData, cfg: SolverConfig) -> Trajector
     """Integrate from t=0 to cfg.t_end with adaptive step control.
 
     Steps halve on rejection and grow by 1.2x after 5 consecutive
-    acceptances.  The status records how integration ended; numerical
-    failure never raises out of this function.
+    acceptances.  The trajectory returned always reaches cfg.t_end: a
+    NonFiniteError, or a rejected step that takes dt below cfg.dt_min,
+    raises (an ArithmeticError) instead.
     """
     state = initial_state(spec, init, cfg)
     return _march(spec, state, cfg)
@@ -304,7 +304,6 @@ def _march(
 
     dt = cfg.dt0
     accepted_run = 0
-    status = "completed"
     while state.t < cfg.t_end - 1e-10:
         dt_try = min(dt, cfg.t_end - state.t)
         if pending:
@@ -312,15 +311,11 @@ def _march(
         dt_try = max(dt_try, cfg.dt_min)
         try:
             new_state = step(spec, state, dt_try, fronts, sources)
-        except NonFiniteError:
-            status = "blowup"
-            break
-        except (NoConvergenceError, BoundViolationError):
+        except (NoConvergenceError, BoundViolationError) as e:
             accepted_run = 0
             dt *= 0.5
             if dt < cfg.dt_min:
-                status = "step_floor"
-                break
+                raise type(e)(f"{e}; the step size reached dt_min={cfg.dt_min:g}") from None
             continue
         state = new_state
         record(state)
@@ -331,4 +326,4 @@ def _march(
         if accepted_run >= 5:
             dt = min(dt * 1.2, cfg.dt_max)
             accepted_run = 0
-    return Trajectory(*(np.array(col) for col in zip(*rows)), snapshots=snapshots, status=status)
+    return Trajectory(*(np.array(col) for col in zip(*rows)), snapshots=snapshots)

@@ -38,10 +38,6 @@ class NotConvergedError(RuntimeError):
     """Search aborted without meeting its stopping rule."""
 
 
-class FailedRunError(ArithmeticError):
-    """A trajectory to classify ended before its horizon (status blowup or step_floor)."""
-
-
 @dataclass(frozen=True)
 class Classification:
     verdict: str  # Spreading | Vanishing | Undetermined
@@ -58,8 +54,6 @@ def checked_L_star(L_star: float) -> float:
 def classify(traj: Trajectory, L_star: float) -> Classification:
     """Classify a completed trajectory against the finite-horizon evidence rules."""
     checked_L_star(L_star)
-    if traj.status != "completed":
-        raise FailedRunError(f"cannot classify a trajectory with status {traj.status!r}")
     t = traj.t
     span = t[-1] - t[0]
     tail = t >= t[-1] - WINDOW_FRAC * span

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +6,11 @@ import pytest
 
 import wnvfront.cli as cli
 import wnvfront.lyapunov as lyapunov
+import wnvfront.solver as solver
 import wnvfront.thresholds as th
 from wnvfront.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, cli_main
 from wnvfront.config import load_config
+from wnvfront.solver import NonFiniteError
 from wnvfront.thresholds import NotConvergedError, ProbeRecord
 
 FAST_CFG = """
@@ -85,6 +86,19 @@ def test_simulate_deterministic_outputs(fast_cfg, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_failed_simulate_is_exit_2_and_writes_nothing(tmp_path, capsys):
+    # a fixed step of 20 undershoots the clip band at once and cannot be halved
+    cfg = tmp_path / "dt20.cfg"
+    cfg.write_text("[solver]\nJ = 64\ndt0 = 20\ndt_min = 20\ndt_max = 20\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli_main(["--config", str(cfg), "--out", str(out), "simulate"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: undershoot ")
+    assert "below clip band at t=20.0" in captured.err and "dt_min=20" in captured.err
+    assert list(out.iterdir()) == []
+
+
 def test_overrides_applied(fast_cfg, tmp_path, capsys):
     out = tmp_path / "o"
     rc = cli_main(["--config", fast_cfg, "--out", str(out), "simulate",
@@ -132,6 +146,26 @@ def test_verify_failure_is_exit_3(tmp_path, monkeypatch):
                         lambda *a, **k: {"passed": True})
     rc = cli_main(["--out", str(tmp_path / "v"), "verify"])
     assert rc == EXIT_VERIFY
+
+
+@pytest.mark.parametrize("fails", [
+    lambda state, dt, sources: sources is None and state.t + dt > 1.0,
+    lambda state, dt, sources: sources is not None,
+], ids=["comparison_runs_past_t1", "manufactured_runs"])
+def test_verify_with_failed_runs_is_exit_2(tmp_path, monkeypatch, capsys, fails):
+    # the comparison runs have no sources, the manufactured runs have them
+    step = solver.step
+
+    def failing(spec, state, dt, fronts=None, sources=None):
+        if fails(state, dt, sources):
+            raise NonFiniteError(f"non-finite values at t={state.t + dt}")
+        return step(spec, state, dt, fronts, sources)
+
+    monkeypatch.setattr(solver, "step", failing)
+    assert cli_main(["--out", str(tmp_path / "v"), "verify"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "verify PASS" not in captured.out
+    assert "numerical failure: non-finite values" in captured.err
 
 
 def test_reproduce_paper_unconverged_mustar_is_exit_2(fast_cfg, tmp_path, monkeypatch):
@@ -395,13 +429,13 @@ def test_readme_quoted_outputs_are_printed(tmp_path, capsys):
     assert printed == quoted
 
 
-def _failed(run):
-    """run, with the trajectory it returns marked as a blow-up."""
-    return lambda *a, **k: replace(run(*a, **k), status="blowup")
+def _failed(*args, **kwargs):
+    """A simulate whose run blows up."""
+    raise NonFiniteError("non-finite values at t=1")
 
 
 def test_failed_mustar_probe_is_exit_2(fast_cfg, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(th, "simulate", _failed(th.simulate))
+    monkeypatch.setattr(th, "simulate", _failed)
     rc = cli_main(["--config", fast_cfg, "--out", str(tmp_path / "m"), "find-mustar",
                    "--h0", "0.6", "--t-end", "2", "--grid", "32", "--L-star", "1.27"])
     assert rc == EXIT_NUMERICAL
@@ -410,7 +444,7 @@ def test_failed_mustar_probe_is_exit_2(fast_cfg, tmp_path, monkeypatch, capsys):
 
 def test_failed_regime_run_in_reproduce_paper_is_exit_2(fast_cfg, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "find_L_star", lambda *a, **k: (1.27, 0))
-    monkeypatch.setattr(cli, "simulate", _failed(cli.simulate))
+    monkeypatch.setattr(cli, "simulate", _failed)
     out = tmp_path / "r"
     assert cli_main(["--config", fast_cfg, "--out", str(out), "reproduce-paper"]) == EXIT_NUMERICAL
     assert not (out / "summary.csv").exists()

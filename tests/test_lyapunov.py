@@ -8,6 +8,7 @@ from wnvfront.lyapunov import (
     lyapunov_constant_oracle,
     lyapunov_exponent,
 )
+from wnvfront.solver import NonFiniteError
 
 FAST = EstimatorConfig(J=96, dt=0.01, horizon=60.0)
 
@@ -106,6 +107,11 @@ def test_reference_estimate_positive_at_wide_interval(ref_spec):
 def test_invalid_L_rejected(ref_spec):
     with pytest.raises(ValueError):
         lyapunov_exponent(ref_spec.linearization(), -1.0, (1.0, 1.0), FAST)
+
+
+def test_non_finite_state_is_nonfinite_error(ref_spec):
+    with pytest.raises(NonFiniteError, match="non-finite state"):
+        lyapunov_exponent(ref_spec.linearization(), 1.0, (np.nan, 1.0), FAST)
 
 
 @pytest.mark.parametrize("kind", ["reference", "constant", "renormalising"])

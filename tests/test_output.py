@@ -64,8 +64,7 @@ def test_zero_state_trajectory_columns(tmp_path):
     t = np.linspace(0, 1, 5)
     z = np.zeros_like(t)
     traj = Trajectory(t=t, g=-1 + z, h=1 + z, gdot=z, hdot=z,
-                      sup_m=z, sup_n=z,
-                      snapshots=[], status="completed")
+                      sup_m=z, sup_n=z, snapshots=[])
     write_trajectory_csv(traj, tmp_path)
     data = read_csv(tmp_path / "boundaries.csv")
     assert np.all(data["supU"] == 0.0)

@@ -56,6 +56,16 @@ def test_comparison_ordered_pair(ref_spec, fast_solver):
     assert report["front_margin"] >= -1e-8
 
 
+def test_comparison_of_failed_runs_raises(ref_spec):
+    # a fixed step of 20 undershoots the clip band at once: neither run gets past t=0
+    cfg = SolverConfig(J=64, dt0=20.0, dt_min=20.0, dt_max=20.0, t_end=200.0,
+                       output_times=(0.0, 100.0, 200.0))
+    lo = InitialData(amp_U=0.08, amp_V=1.5)
+    hi = InitialData(amp_U=0.12, amp_V=2.25)
+    with pytest.raises(ArithmeticError, match="dt_min"):
+        comparison_suite(ref_spec, lo, hi, cfg)
+
+
 _ORDERED_SOLVER = SolverConfig(J=48, dt0=0.05, dt_min=0.05, dt_max=0.05, t_end=5.0,
                                output_times=(2.5, 5.0))
 
@@ -72,7 +82,6 @@ def test_ordered_data_stay_ordered(frac_U, frac_V, factor_U, factor_V, mu):
     hi = InitialData(amp_U=min(factor_U * lo.amp_U, spec.N1),
                      amp_V=min(factor_V * lo.amp_V, spec.N2))
     report = comparison_suite(spec, lo, hi, _ORDERED_SOLVER)
-    assert report["status_lo"] == report["status_hi"] == "completed"
     assert report["passed"], report
 
 
@@ -102,7 +111,6 @@ def test_autonomous_tail_converges_to_constant():
     outs = tuple(np.linspace(75.0, 150.0, 76))
     traj = w.simulate(spec, InitialData(), SolverConfig(J=300, t_end=150.0,
                                                         output_times=outs))
-    assert traj.status == "completed"
     ts, us, _ = probe_series(traj, 0.0)
     tail = us[ts >= 110.0]
     assert np.max(tail) - np.min(tail) < 1e-3 * np.max(tail)
