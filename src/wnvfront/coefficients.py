@@ -7,8 +7,11 @@ A coefficient is represented as
 
 which covers the trig-polynomial transmission/recovery/death rates used
 throughout, plus constants as a degenerate case.  All evaluation is
-vectorized over x and t.  Time shifts act exactly on the harmonic phases,
-so hull elements of these fields are reproduced without limits.
+vectorized over x and t.  The temporal factor and the spatial term are
+evaluated apart, so that on a fixed grid the spatial terms are computed once
+(``LinearizationMatrix.evaluator``).  Time shifts act exactly on the
+harmonic phases, so hull elements of these fields are reproduced without
+limits.
 """
 
 from __future__ import annotations
@@ -108,11 +111,18 @@ class CoefficientField:
 
     def eval(self, x, t):
         """Evaluate the field; broadcasts over x and t."""
-        temporal = np.asarray(self.base, dtype=float)
+        return self.temporal(t) + self.spatial_term(x)
+
+    def temporal(self, t):
+        """The temporal factor base * prod_i (1 + amp_i * trig_i(...)) at t."""
+        out = np.asarray(self.base, dtype=float)
         for h in self.harmonics:
-            temporal = temporal * h.factor(t)
-        out = temporal + self.spatial_amp * spatial_profile(self.spatial, x)
+            out = out * h.factor(t)
         return out
+
+    def spatial_term(self, x):
+        """The spatial term spatial_amp * profile(x)."""
+        return self.spatial_amp * spatial_profile(self.spatial, x)
 
     def shifted(self, tau: float) -> "CoefficientField":
         """Field whose eval(x, t) equals this field's eval(x, t + tau), exactly."""
@@ -145,12 +155,19 @@ class LinearizationMatrix:
 
     def entries(self, x, t):
         """Return (m11, m12, m21, m22) arrays broadcast over x, t."""
-        return (
-            -self.d1.eval(x, t),
-            self.a1.eval(x, t) * self.N1,
-            self.a2.eval(x, t) * self.N2,
-            -self.d2.eval(x, t),
-        )
+        return self.evaluator(x)(t)
+
+    def evaluator(self, x):
+        """The map t -> entries(x, t); the spatial terms at x are computed once, here."""
+        fields = (self.d1, self.a1, self.a2, self.d2)
+        s11, s12, s21, s22 = (f.spatial_term(x) for f in fields)
+        d1, a1, a2, d2 = (f.temporal for f in fields)
+        N1, N2 = self.N1, self.N2
+
+        def at(t):
+            return -(d1(t) + s11), (a1(t) + s12) * N1, (a2(t) + s21) * N2, -(d2(t) + s22)
+
+        return at
 
     @property
     def is_autonomous(self) -> bool:

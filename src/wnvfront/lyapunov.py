@@ -3,7 +3,10 @@
 Integrates I_t = D I_xx + A(x,t) I on [-L, L] with Dirichlet ends from a
 strictly positive profile, one solve of the solver's banded operator per
 step (no drift, the Jacobian at zero as the reaction matrix), renormalising
-the sup norm against over/underflow.  ``lam`` is the mean growth rate of
+the sup norm against over/underflow.  The spatial terms of the coefficients
+are evaluated once per estimate.  An autonomous matrix is factored once
+(LAPACK ``gbtrf``) and each step is one ``gbtrs`` solve; any other matrix is
+rebuilt and factored at every step.  ``lam`` is the mean growth rate of
 log(sum of I) over [T/4, T], weighted by the bump exp(-1/(tau (1 - tau))):
 for quasi-periodic forcing it converges faster than any power of 1/T (Das,
 Sander, Yorke et al., Nonlinearity 30, 2017).  It is read at the checkpoints
@@ -20,10 +23,9 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .coefficients import LinearizationMatrix
-from .solver import BANDS, NonFiniteError, banded_operator, interleave
+from .solver import NonFiniteError, banded_operator, factor_banded, interleave, solve_banded
 
 FIRST_CHECKPOINT = 25.0  # checkpoints at FIRST_CHECKPOINT * 2**k below the horizon, then the horizon
 BURN_IN = 0.25  # the averaging window at checkpoint T is [BURN_IN * T, T]
@@ -85,8 +87,9 @@ def lyapunov_exponent(
     """Estimate the principal Lyapunov exponent on [-L, L]; the worst over ``shifts``.
 
     Each shift s is the problem with the coefficients evaluated at x + s, and
-    one block (a row of the state) of one block-diagonal system: one
-    coefficient evaluation and one banded solve per step for all of them.  A
+    one block (a row of the state) of one block-diagonal system: one banded
+    solve per step for all of them, after one evaluation of the temporal
+    factors and one factorisation unless the matrix is autonomous.  A
     block's lam, err, renorm count and cone flag are frozen at the checkpoint
     that decides it, and the call returns once every block is decided.  The
     smallest ``lam`` is returned (the first on a tie) with its shift; each
@@ -105,9 +108,10 @@ def lyapunov_exponent(
     x_all = np.concatenate([x_int + s for s in shifts])
     inv_dx2 = 1.0 / (dx * dx)
     no_drift = np.zeros(nb * (J - 1))
+    entries = mat.evaluator(x_all)
 
     def operator(t):
-        return banded_operator(D1, D2, inv_dx2, no_drift, *mat.entries(x_all, t), dt, blocks=nb)
+        return banded_operator(D1, D2, inv_dx2, no_drift, *entries(t), dt, blocks=nb)
 
     # step counts of the checkpoints; the schedule below the horizon does not depend on it
     n_cap = int(round(cfg.horizon / dt))
@@ -123,7 +127,7 @@ def lyapunov_exponent(
 
     autonomous = mat.is_autonomous
     if autonomous:
-        ab = operator(0.0)
+        factors = factor_banded(operator(0.0))
 
     log_acc = np.zeros(nb)
     renorms = np.zeros(nb, dtype=int)
@@ -135,9 +139,9 @@ def lyapunov_exponent(
     for k in range(1, n_cap + 1):
         t = k * dt
         if not autonomous:
-            ab = operator(t)
-        # no finiteness check in the solve: a non-finite state is the NonFiniteError below
-        u = solve_banded(BANDS, ab, u.ravel() / dt, check_finite=False).reshape(nb, -1)
+            factors = factor_banded(operator(t))
+        # the solve scans nothing: a non-finite state is the NonFiniteError below
+        u = solve_banded(factors, u.ravel() / dt).reshape(nb, -1)
         if not np.all(np.isfinite(u)):
             raise NonFiniteError(f"non-finite state in exponent integration at t={t}")
         sup = np.max(np.abs(u), axis=1)

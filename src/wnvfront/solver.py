@@ -6,7 +6,10 @@ space.  The bilinear reaction is handled by Newton's method on the
 coupled pair: every iterate is one banded solve for both components
 (``banded_operator``, shared with the exponent estimator; only this module
 knows how that system is stored), then the fronts move by the Stefan rule
-with a second-order one-sided boundary gradient.  Geometry coefficients
+with a second-order one-sided boundary gradient.  The solve is the
+module's LAPACK kernel, ``factor_banded`` (``gbtrf``) then ``solve_banded``
+(``gbtrs``), called directly without scipy's input scans and copies; a
+factorisation can serve many right-hand sides.  Geometry coefficients
 are frozen at the step start (velocities lagged one step), a Lie
 splitting whose O(dt) error matches backward Euler.
 
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg import get_lapack_funcs
 
 from .model import InitialData, ModelSpec
 from .transform import FrontGeometry
@@ -154,6 +158,39 @@ def banded_operator(D1, D2, diff, adv, m11, m12, m21, m22, dt, blocks=1):
     return ab
 
 
+_GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
+
+
+def factor_banded(ab):
+    """LU factors (LAPACK ``gbtrf``) of ``banded_operator``'s matrix, for ``solve_banded``.
+
+    The pivoting fills BANDS[0] more rows above the band, so ``ab`` is copied
+    into the last rows of a (2*kl + ku + 1)-row array.  A singular matrix is a
+    LinAlgError, as in scipy; there is no finiteness scan.
+    """
+    kl, ku = BANDS
+    lu = np.zeros((2 * kl + ku + 1, ab.shape[1]), order="F")
+    lu[kl:] = ab
+    lu, piv, info = _GBTRF(lu, kl, ku, overwrite_ab=True)
+    if info:
+        raise LinAlgError(f"singular banded matrix (gbtrf info={info})")
+    return lu, piv
+
+
+def solve_banded(factors, b):
+    """The x with A x = b (LAPACK ``gbtrs``) for ``factors = factor_banded(A)``.
+
+    ``b`` is left unchanged.  With scipy's ``solve_banded(BANDS, ab, b)`` it
+    shares its LAPACK calls (``gbsv`` is ``gbtrf`` then ``gbtrs``), so x is
+    bit for bit the same; a non-finite b gives a non-finite x, not an error.
+    """
+    lu, piv = factors
+    x, info = _GBTRS(lu, BANDS[0], BANDS[1], b, piv)
+    if info:
+        raise LinAlgError(f"gbtrs info={info}")
+    return x
+
+
 def _stefan_velocities(mu: float, state: FrontState) -> Tuple[float, float]:
     """(gdot, hdot) by the Stefan rule x' = -mu U_x, with U_x = (2/w) m_y on the state's width."""
     scale = -mu * (2.0 / state.geom.width)
@@ -211,7 +248,7 @@ def step(
             dt,
         )
         mn = m * n
-        u_next = solve_banded(BANDS, ab, interleave(rhs_m + a1 * mn, rhs_n + a2 * mn))
+        u_next = solve_banded(factor_banded(ab), interleave(rhs_m + a1 * mn, rhs_n + a2 * mn))
         if not np.all(np.isfinite(u_next)):
             raise NonFiniteError(f"non-finite values at t={t1}")
         res = float(np.max(np.abs(u_next - u)))

@@ -209,22 +209,23 @@ def test_cooperative_signs_random_sample(rng):
 
 
 def test_shift_evaluates_coefficients_at_x_plus_s(monkeypatch):
-    # the estimate for shift s sees the coefficients at x + s, not x - s
+    # the estimate for shift s sees the coefficients at x + s, not x - s, and
+    # builds its evaluator once, not once per step
     spec = ModelSpec()
     seen = []
-    entries = LinearizationMatrix.entries
+    evaluator = LinearizationMatrix.evaluator
 
-    def spy(self, x, t):
+    def spy(self, x):
         seen.append(np.array(x))
-        return entries(self, x, t)
+        return evaluator(self, x)
 
-    monkeypatch.setattr(LinearizationMatrix, "entries", spy)
+    monkeypatch.setattr(LinearizationMatrix, "evaluator", spy)
     L, J, s = 2.0, 16, 3.0
     lyapunov_exponent(spec.linearization(), L, (spec.D1, spec.D2),
                       EstimatorConfig(J=J, dt=0.5, horizon=2.0), shifts=(s,))
     expected = -L + (2.0 * L / J) * np.arange(1, J) + s
-    assert len(seen) == 4
-    assert all(np.array_equal(x, expected) for x in seen)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], expected)
 
 
 def test_constant_matrix_validation():
@@ -252,3 +253,26 @@ def test_shifts_compose(harmonics, a, b):
     np.testing.assert_allclose(f.shifted(a).shifted(b).eval(x, t), f.shifted(a + b).eval(x, t),
                                rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(f.shifted(a).eval(x, t), f.eval(x, t + a), rtol=1e-9, atol=1e-12)
+
+
+@st.composite
+def _fields(draw):
+    """A positive field: base 1, harmonics and a spatial term small enough to keep it positive."""
+    harmonics = draw(_harmonics)
+    temporal_inf = float(np.prod([1.0 - abs(h.amplitude) for h in harmonics]))
+    # every profile lies in [-0.59, 2.08], so this amplitude keeps the infimum positive
+    amp = draw(st.floats(-0.45 * temporal_inf, 0.45 * temporal_inf))
+    return CoefficientField(1.0, harmonics, amp, draw(st.sampled_from(PROFILE_KINDS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_fields(), min_size=4, max_size=4), st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+       st.floats(0.0, 1e3))
+def test_evaluator_equals_entries(fields, N1, N2, t):
+    a1, a2, d1, d2 = fields
+    mat = LinearizationMatrix(a1, a2, d1, d2, N1, N2)
+    x = np.linspace(-5.0, 5.0, 7)
+    by_field = (-d1.eval(x, t), a1.eval(x, t) * N1, a2.eval(x, t) * N2, -d2.eval(x, t))
+    for got, entry, expected in zip(mat.evaluator(x)(t), mat.entries(x, t), by_field):
+        np.testing.assert_array_equal(got, entry)
+        np.testing.assert_array_equal(got, expected)

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from wnvfront.coefficients import LinearizationMatrix
+from wnvfront.coefficients import LinearizationMatrix, TemporalHarmonic
 from wnvfront.lyapunov import (
     EstimatorConfig,
     lambda_sweep,
@@ -158,6 +160,21 @@ def test_error_bar_holds_the_long_horizon_limit(ref_spec, L, shift, limit, tol):
                             shifts=(shift,))
     assert est.converged
     assert abs(est.lam - limit) <= est.err
+
+
+@pytest.mark.parametrize("shifts", [(0.0,), (-3.0, 0.0, 3.0)])
+def test_factoring_once_equals_factoring_every_step(shifts):
+    # a harmonic of amplitude 0.0 leaves every value of the constant matrix
+    # exactly as it is, but the matrix is no longer autonomous
+    const = LinearizationMatrix.constant([[-0.1, 0.528], [1.92, -0.029]])
+    flat = TemporalHarmonic(0.0, 1.0)
+    stepped = replace(const, **{k: replace(getattr(const, k), harmonics=(flat,))
+                                for k in ("a1", "a2", "d1", "d2")})
+    assert const.is_autonomous and not stepped.is_autonomous
+    cfg = EstimatorConfig(J=24, dt=0.1, horizon=60.0)
+    for L in (0.5, 2.0):
+        once = lyapunov_exponent(const, L, (1.0, 0.5), cfg, shifts=shifts)
+        assert lyapunov_exponent(stepped, L, (1.0, 0.5), cfg, shifts=shifts) == once
 
 
 def test_batched_shifts_require_one():

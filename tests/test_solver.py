@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from numpy.linalg import LinAlgError
 from scipy.linalg import block_diag
 
 from wnvfront.coefficients import constant_field
 from wnvfront.model import InitialData, ModelSpec
 from wnvfront.solver import (
+    BANDS,
     FrontState,
+    NonFiniteError,
     SolverConfig,
     _march,
     banded_operator,
     boundary_derivative,
+    factor_banded,
     initial_state,
     simulate,
+    solve_banded,
     step,
 )
 from wnvfront.transform import FrontGeometry
@@ -122,6 +128,34 @@ def test_banded_operator_blocks_are_block_diagonal(rng, blocks):
     whole = banded_operator(D1, D2, diff, adv.ravel(), *m.reshape(4, -1), dt, blocks=blocks)
     singles = [_dense(banded_operator(D1, D2, diff, adv[b], *m[:, b], dt)) for b in range(blocks)]
     np.testing.assert_array_equal(_dense(whole), block_diag(*singles))
+
+
+@pytest.mark.parametrize("blocks", [1, 7])
+def test_banded_kernel_equals_scipy_bit_for_bit(rng, blocks):
+    nodes = 9 * blocks
+    adv = rng.normal(size=nodes)  # nonzero drift
+    m = rng.normal(size=(4, nodes))
+    ab = banded_operator(1.3, 0.4, 7.0, adv, *m, 0.1, blocks=blocks)
+    b = rng.normal(size=2 * nodes)
+    b_before = b.copy()
+    x = solve_banded(factor_banded(ab), b)
+    np.testing.assert_array_equal(x, scipy.linalg.solve_banded(BANDS, ab, b))
+    np.testing.assert_array_equal(b, b_before)
+
+
+def test_singular_banded_matrix_is_linalg_error():
+    ab = np.zeros((5, 8))
+    with pytest.raises(LinAlgError):
+        scipy.linalg.solve_banded(BANDS, ab, np.ones(8))
+    with pytest.raises(LinAlgError):
+        factor_banded(ab)
+
+
+def test_non_finite_system_is_nonfinite_error():
+    spec = ModelSpec(mu=0.1, h0=0.6)
+    state = initial_state(spec, InitialData(), SolverConfig(J=16))
+    with pytest.raises(NonFiniteError):
+        step(spec, state, 0.01, sources=lambda y, t: (np.full_like(y, np.nan), 0 * y))
 
 
 def test_step_solves_backward_euler_system(ref_spec):

@@ -109,6 +109,13 @@ def test_lstar_independent_of_horizon(ref_spec):
     assert max(found) - min(found) <= LStarConfig.bracket_tol, found
 
 
+def test_lstar_search_result_is_pinned(ref_spec):
+    # the benchmark's lstar-search settings; a faster estimator must not move L* at all
+    mat, D = ref_spec.linearization(), (ref_spec.D1, ref_spec.D2)
+    cfg = LStarConfig(estimator=EstimatorConfig(J=32, dt=0.5, horizon=400.0))
+    assert find_L_star(mat, D, (0.3, 3.0), cfg) == (1.28349609375, 9)
+
+
 class _MuProbeStub:
     """Replaces simulate/classify so the bisection logic runs without PDE solves."""
 
