@@ -16,7 +16,8 @@ import numpy as np
 from .config import RunConfig, load_config, render_config
 from .lyapunov import lambda_sweep, lyapunov_exponent
 from .model import InitialData
-from .output import write_csv, write_plots, write_sweep_plot, write_trajectory_csv
+from .output import (check_snapshot_names, write_csv, write_plots, write_sweep_plot,
+                     write_trajectory_csv)
 from .reproduce import CASES, MU_STAR_H0, halfwidth_bracket
 from .solver import simulate
 from .thresholds import (
@@ -66,6 +67,7 @@ def _override(section, **values):
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
+    check_snapshot_names(cfg.solver.output_times)
     return replace(
         cfg,
         model=_override(cfg.model, h0=getattr(args, "h0", None), mu=getattr(args, "mu", None)),

@@ -25,8 +25,24 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def snapshot_name(t: float) -> str:
+    """The file of the snapshot at time t."""
+    return f"snapshot_{t:g}.csv"
+
+
+def check_snapshot_names(times) -> None:
+    """ValueError if two of ``times`` share a snapshot_name, so one file would overwrite another."""
+    first = {}
+    for t in times:
+        name = snapshot_name(t)
+        if name in first:
+            raise ValueError(f"output times {first[name]!r} and {t!r} both name {name}")
+        first[name] = t
+
+
 def write_trajectory_csv(traj: Trajectory, outdir) -> List[Path]:
-    """boundaries.csv plus one snapshot_<t>.csv per stored snapshot."""
+    """boundaries.csv plus one snapshot_name(t) per stored snapshot; names must not collide."""
+    check_snapshot_names([st.t for st in traj.snapshots])
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -39,7 +55,7 @@ def write_trajectory_csv(traj: Trajectory, outdir) -> List[Path]:
     written.append(bpath)
     for st in traj.snapshots:
         x = st.geom.to_x(st.y)
-        spath = outdir / f"snapshot_{st.t:g}.csv"
+        spath = outdir / snapshot_name(st.t)
         write_csv(spath, ["x", "y", "U", "V"], zip(x, st.y, st.m, st.n))
         written.append(spath)
     return written

@@ -1,17 +1,19 @@
 """Implicit finite-difference time integration of the front-fixed system.
 
 Each step solves the transformed reaction-diffusion pair on y in [-1, 1]
-with backward Euler in time and second-order central differences in
-space.  The bilinear reaction is handled by Newton's method on the
-coupled pair: every iterate is one banded solve for both components
-(``banded_operator``, shared with the exponent estimator; only this module
-knows how that system is stored), then the fronts move by the Stefan rule
-with a second-order one-sided boundary gradient.  The solve is the
+with linearly implicit (Rosenbrock) Euler in time and second-order central
+differences in space: one banded solve for both components, with the
+reaction Jacobian at the step-start state (``banded_operator``, shared with
+the exponent estimator; only this module knows how that system is stored).
+That is backward Euler's first Newton iterate from the old state; it solves
+backward Euler up to an O(dt^2) residual, so it stays first order in dt
+(Hundsdorfer & Verwer 2003, ch. IV).  Then the fronts move by the Stefan
+rule with a second-order one-sided boundary gradient.  The solve is the
 module's LAPACK kernel, ``factor_banded`` (``gbtrf``) then ``solve_banded``
 (``gbtrs``), called directly without scipy's input scans and copies; a
 factorisation can serve many right-hand sides.  Geometry coefficients
 are frozen at the step start (velocities lagged one step), a Lie
-splitting whose O(dt) error matches backward Euler.
+splitting whose O(dt) error matches the time step's.
 
 The verification hooks are arguments of ``step`` and ``_march``, not
 settings: ``fronts`` prescribes the front motion t -> (g, h, gdot, hdot)
@@ -38,18 +40,12 @@ class NonFiniteError(ArithmeticError):
     """NaN or Inf appeared in the solution."""
 
 
-class NoConvergenceError(ArithmeticError):
-    """Newton iteration hit its iteration cap."""
-
-
 class BoundViolationError(ArithmeticError):
     """Solution left the admissible band by more than clipping noise."""
 
 
 UNDERSHOOT_TOL = 1e-10  # clip band for negative discretization noise
 OVERSHOOT_REL = 1e-8  # allowed relative excess above capacity
-NEWTON_TOL = 1e-10  # max-norm change between Newton iterates that ends a step
-MAX_NEWTON = 30  # Newton iterates before a step is rejected
 BANDS = (2, 2)  # lower and upper bandwidths of banded_operator's matrix
 
 
@@ -204,7 +200,7 @@ def step(
     fronts: Optional[Callable] = None,
     sources: Optional[Callable] = None,
 ) -> FrontState:
-    """Advance one implicit step of size dt; raises on failure (see module errors).
+    """Advance one linearly implicit step of size dt; raises on failure (see module errors).
 
     ``fronts`` and ``sources`` are the verification hooks of the module docstring.
     """
@@ -214,11 +210,7 @@ def step(
     dy = 2.0 / J
     t1 = state.t + dt
 
-    if fronts is not None:
-        g1, h1, gd1, hd1 = fronts(t1)
-        geom_c = FrontGeometry(g1, h1, gd1, hd1)
-    else:
-        geom_c = geom
+    geom_c = FrontGeometry(*fronts(t1)) if fronts is not None else geom
     y_int = y[1:-1]
     Acoef, Bcoef = geom_c.metric_terms(y_int)
     x = geom_c.to_x(y_int)
@@ -227,36 +219,21 @@ def step(
     a2 = spec.a2.eval(x, t1)
     d1 = spec.d1.eval(x, t1)
     d2 = spec.d2.eval(x, t1)
-    if sources is not None:
-        S1, S2 = sources(y_int, t1)
-    else:
-        S1 = S2 = 0.0
+    S1, S2 = sources(y_int, t1) if sources is not None else (0.0, 0.0)
 
-    # Newton on the pair: each iterate solves K(u_k) u_{k+1} = u_old/dt + S
-    # + (a1 m n, a2 m n), where K(u_k) is the backward-Euler matrix with the
-    # reaction Jacobian at u_k
-    diff = Acoef / (dy * dy)
-    adv = Bcoef / (2.0 * dy)
-    rhs_m = state.m[1:-1] / dt + S1
-    rhs_n = state.n[1:-1] / dt + S2
-    u = interleave(state.m[1:-1], state.n[1:-1])
-    for _ in range(MAX_NEWTON):
-        m, n = u[0::2], u[1::2]
-        ab = banded_operator(
-            spec.D1, spec.D2, diff, adv,
-            -(d1 + a1 * n), a1 * (spec.N1 - m), a2 * (spec.N2 - n), -(d2 + a2 * m),
-            dt,
-        )
-        mn = m * n
-        u_next = solve_banded(factor_banded(ab), interleave(rhs_m + a1 * mn, rhs_n + a2 * mn))
-        if not np.all(np.isfinite(u_next)):
-            raise NonFiniteError(f"non-finite values at t={t1}")
-        res = float(np.max(np.abs(u_next - u)))
-        u = u_next
-        if res < NEWTON_TOL:
-            break
-    else:
-        raise NoConvergenceError(f"Newton iteration cap {MAX_NEWTON} hit at t={t1}")
+    # linearly implicit Euler, backward Euler's first Newton iterate from the old
+    # state: one solve of K(u_old) u = u_old/dt + S + (a1 m n, a2 m n), where
+    # K(u_old) is the backward-Euler matrix with the reaction Jacobian at u_old
+    m, n = state.m[1:-1], state.n[1:-1]
+    ab = banded_operator(
+        spec.D1, spec.D2, Acoef / (dy * dy), Bcoef / (2.0 * dy),
+        -(d1 + a1 * n), a1 * (spec.N1 - m), a2 * (spec.N2 - n), -(d2 + a2 * m),
+        dt,
+    )
+    mn = m * n
+    u = solve_banded(factor_banded(ab), interleave(m / dt + S1 + a1 * mn, n / dt + S2 + a2 * mn))
+    if not np.all(np.isfinite(u)):
+        raise NonFiniteError(f"non-finite values at t={t1}")
 
     m_new = np.zeros(J + 1)
     n_new = np.zeros(J + 1)
@@ -308,10 +285,11 @@ def initial_state(spec: ModelSpec, init: InitialData, cfg: SolverConfig) -> Fron
 def simulate(spec: ModelSpec, init: InitialData, cfg: SolverConfig) -> Trajectory:
     """Integrate from t=0 to cfg.t_end with adaptive step control.
 
-    Steps halve on rejection and grow by 1.2x after 5 consecutive
-    acceptances.  The trajectory returned always reaches cfg.t_end: a
-    NonFiniteError, or a rejected step that takes dt below cfg.dt_min,
-    raises (an ArithmeticError) instead.
+    Each step is one linearly implicit Euler step.  A step that leaves the
+    admissible band is rejected and dt halves; dt grows by 1.2x after 5
+    consecutive acceptances.  The trajectory returned always reaches
+    cfg.t_end: a NonFiniteError, or a rejection that takes dt below
+    cfg.dt_min (a BoundViolationError), raises instead.
     """
     state = initial_state(spec, init, cfg)
     return _march(spec, state, cfg)
@@ -348,7 +326,7 @@ def _march(
         dt_try = max(dt_try, cfg.dt_min)
         try:
             new_state = step(spec, state, dt_try, fronts, sources)
-        except (NoConvergenceError, BoundViolationError) as e:
+        except BoundViolationError as e:
             accepted_run = 0
             dt *= 0.5
             if dt < cfg.dt_min:

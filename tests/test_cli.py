@@ -301,6 +301,23 @@ def test_bad_run_setting_is_config_error(tmp_path, capsys, monkeypatch, command,
     assert not out.exists()
 
 
+def test_colliding_snapshot_times_are_config_error(tmp_path, capsys, monkeypatch):
+    # both times print as 1, so their snapshots would share snapshot_1.csv
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("simulated despite colliding output times")
+
+    monkeypatch.setattr(cli, "simulate", must_not_run)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(_fast_cfg_with("[solver]\noutput_times = 1.0000001, 1.0000004"),
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli_main(["--config", str(bad), "--out", str(out), "simulate"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "1.0000001 and 1.0000004 both name snapshot_1.csv" in err
+    assert not out.exists()
+
+
 def test_rejected_field_names_its_keys(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(_fast_cfg_with(_DIPPING_GAMMA), encoding="utf-8")

@@ -60,6 +60,20 @@ def test_snapshot_endpoints_match_fronts(short_traj, tmp_path):
         assert data["U"][0] == 0.0 and data["U"][-1] == 0.0
 
 
+def test_snapshot_names_do_not_collide(ref_spec, short_traj, tmp_path):
+    # distinct names are kept as they were: snapshot_<t:g>.csv
+    paths = write_trajectory_csv(short_traj, tmp_path / "ok")
+    assert [p.name for p in paths[1:]] == ["snapshot_2.csv", "snapshot_5.csv"]
+    # 1.0000001 and 1.0000004 both print as 1: two snapshots, one file name
+    cfg = SolverConfig(J=100, dt0=0.02, dt_min=1e-8, dt_max=0.02, t_end=1.1,
+                       output_times=(1.0000001, 1.0000004))
+    traj = w.simulate(ref_spec, w.InitialData(), cfg)
+    assert len(traj.snapshots) == 2
+    with pytest.raises(ValueError, match=r"1\.0000001 and 1\.0000004 both name snapshot_1\.csv"):
+        write_trajectory_csv(traj, tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
+
+
 def test_zero_state_trajectory_columns(tmp_path):
     t = np.linspace(0, 1, 5)
     z = np.zeros_like(t)

@@ -4,6 +4,7 @@ import scipy.linalg
 from numpy.linalg import LinAlgError
 from scipy.linalg import block_diag
 
+from wnvfront import solver
 from wnvfront.coefficients import constant_field
 from wnvfront.model import InitialData, ModelSpec
 from wnvfront.solver import (
@@ -158,24 +159,54 @@ def test_non_finite_system_is_nonfinite_error():
         step(spec, state, 0.01, sources=lambda y, t: (np.full_like(y, np.nan), 0 * y))
 
 
-def test_step_solves_backward_euler_system(ref_spec):
-    J = 200
-    cfg = SolverConfig(J=J, t_end=40.0, output_times=(40.0,))
-    state = simulate(ref_spec, InitialData(), cfg).snapshots[-1]
-    dy = 2.0 / J
+@pytest.fixture(scope="module")
+def spreading_state(ref_spec):
+    """The reference run (h0=2, mu=0.1; it spreads) at t=40 on J=200."""
+    cfg = SolverConfig(J=200, t_end=40.0, output_times=(40.0,))
+    return simulate(ref_spec, InitialData(), cfg).snapshots[-1]
+
+
+def test_step_solves_backward_euler_system(ref_spec, spreading_state):
+    # the step solves backward Euler with the reaction linearised at the old
+    # state exactly, and backward Euler itself up to an O(dt^2) residual
+    state = spreading_state
+    dy = 2.0 / (len(state.y) - 1)
     # geometry is frozen at the step start
     Acoef, Bcoef = state.geom.metric_terms(state.y[1:-1])
     x = state.geom.to_x(state.y[1:-1])
-    for dt in (0.05, 0.5):
+    be_residual = {}
+    for dt in (0.5, 0.1, 0.05, 0.025):
         new = step(ref_spec, state, dt)
         fU, fV = ref_spec.reaction(x, new.t, new.m[1:-1], new.n[1:-1])
-        for D, u, u_old, f in ((ref_spec.D1, new.m, state.m, fU),
-                               (ref_spec.D2, new.n, state.n, fV)):
+        # the reaction is bilinear: its linearisation at the old state is f(u1)
+        # plus a_c*dm*dn, the quadratic term that f(u1) has and it lacks
+        dmdn = (new.m[1:-1] - state.m[1:-1]) * (new.n[1:-1] - state.n[1:-1])
+        worst = 0.0
+        for D, u, u_old, f, a in ((ref_spec.D1, new.m, state.m, fU, ref_spec.a1),
+                                  (ref_spec.D2, new.n, state.n, fV, ref_spec.a2)):
             assert u[0] == u[-1] == 0.0
             u_yy = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / (dy * dy)
             u_y = (u[2:] - u[:-2]) / (2.0 * dy)
             residual = (u[1:-1] - u_old[1:-1]) / dt - D * Acoef * u_yy + Bcoef * u_y - f
-            assert np.max(np.abs(residual)) < 1e-10
+            if dt in (0.5, 0.05):
+                linearised = residual - a.eval(x, new.t) * dmdn
+                assert np.max(np.abs(linearised)) < 1e-10
+            worst = max(worst, float(np.max(np.abs(residual))))
+        be_residual[dt] = worst
+    # each halving of dt cuts the backward-Euler residual about fourfold
+    assert be_residual[0.1] >= 3.5 * be_residual[0.05] >= 3.5 ** 2 * be_residual[0.025] > 0.0
+
+
+def test_step_makes_one_banded_solve(ref_spec, spreading_state, monkeypatch):
+    calls = []
+    for name in ("factor_banded", "solve_banded"):
+        def spy(*args, _name=name, _kernel=getattr(solver, name)):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(solver, name, spy)
+    step(ref_spec, spreading_state, 0.05)
+    assert calls == ["factor_banded", "solve_banded"]
 
 
 def test_symmetry_preserved_with_frozen_fronts():
