@@ -266,6 +266,7 @@ _DIPPING_GAMMA = ("[model]\ngamma_base = 1.0\n"
 
 @pytest.mark.parametrize("command, setting", [
     ("simulate", "[solver]\noutput_times = -1.0, nan"),
+    ("simulate", "[solver]\noutput_times = 1.0000001, 1.0000004"),
     ("simulate", _DIPPING_GAMMA),
     ("find-mustar --t-end inf --grid 32 --L-star 1.27", ""),
     ("simulate", "[solver]\nt_end = inf\noutput_times = 1.0"),
@@ -281,7 +282,7 @@ _DIPPING_GAMMA = ("[model]\ngamma_base = 1.0\n"
     ("find-lstar", "[run]\nL_hi = inf"),
     ("sweep-lambda", "[run]\nL_list = 0.5, inf"),
     ("sweep-lambda --L-list 0.5,inf", ""),
-], ids=["bad_output_times", "dipping_field", "t_end_flag_inf",
+], ids=["bad_output_times", "colliding_output_times", "dipping_field", "t_end_flag_inf",
         "t_end_inf", "mu_inf", "D1_inf", "beta_inf", "h0_inf", "frequency_inf",
         "base_inf", "spatial_amp_nan", "amp_U_nan", "horizon_inf", "L_hi_inf", "L_list_inf",
         "L_list_flag_inf"])
@@ -298,23 +299,6 @@ def test_bad_run_setting_is_config_error(tmp_path, capsys, monkeypatch, command,
     out = tmp_path / "o"
     assert cli_main(["--config", str(bad), "--out", str(out), *command.split()]) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_colliding_snapshot_times_are_config_error(tmp_path, capsys, monkeypatch):
-    # both times print as 1, so their snapshots would share snapshot_1.csv
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("simulated despite colliding output times")
-
-    monkeypatch.setattr(cli, "simulate", must_not_run)
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(_fast_cfg_with("[solver]\noutput_times = 1.0000001, 1.0000004"),
-                   encoding="utf-8")
-    out = tmp_path / "o"
-    assert cli_main(["--config", str(bad), "--out", str(out), "simulate"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert "1.0000001 and 1.0000004 both name snapshot_1.csv" in err
     assert not out.exists()
 
 
