@@ -16,6 +16,7 @@ limits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
@@ -71,9 +72,10 @@ class TemporalHarmonic:
             raise ValueError("harmonic phase must be finite")
 
     def factor(self, t):
-        arg = self.frequency * np.asarray(t, dtype=float) + self.phase
-        trig = np.cos(arg) if self.kind == "cos" else np.sin(arg)
-        return 1.0 + self.amplitude * trig
+        """1 + amp*trig(freq*t + phase); a float t takes ``math``'s trig, without numpy's 0-d overhead."""
+        scalar = isinstance(t, float)
+        arg = self.frequency * (t if scalar else np.asarray(t, dtype=float)) + self.phase
+        return 1.0 + self.amplitude * getattr(math if scalar else np, self.kind)(arg)
 
     def shifted(self, tau: float) -> "TemporalHarmonic":
         return replace(self, phase=self.phase + self.frequency * tau)
@@ -114,8 +116,8 @@ class CoefficientField:
         return self.temporal(t) + self.spatial_term(x)
 
     def temporal(self, t):
-        """The temporal factor base * prod_i (1 + amp_i * trig_i(...)) at t."""
-        out = np.asarray(self.base, dtype=float)
+        """The temporal factor base * prod_i (1 + amp_i * trig_i(...)) at t; a float at a float t."""
+        out = float(self.base) if isinstance(t, float) else np.asarray(self.base, dtype=float)
         for h in self.harmonics:
             out = out * h.factor(t)
         return out

@@ -15,6 +15,15 @@ factorisation can serve many right-hand sides.  Geometry coefficients
 are frozen at the step start (velocities lagged one step), a Lie
 splitting whose O(dt) error matches the time step's.
 
+A coefficient is its temporal factor plus its spatial term, and the
+spatial term depends on the step only through the fronts (g, h).  So
+``_march`` keeps the four spatial terms while (g, h) is unchanged, as on a
+vanishing run whose fronts have stalled, and evaluates only the temporal
+factors, at the step's float time.  A lone ``step`` evaluates everything
+afresh, to the same bits.  A run ends with its state and step controller
+(``Trajectory.end``), from which ``extend`` continues it to a later
+horizon, bit for bit as if it had not stopped.
+
 The verification hooks are arguments of ``step`` and ``_march``, not
 settings: ``fronts`` prescribes the front motion t -> (g, h, gdot, hdot)
 in place of the Stefan rule, and ``sources`` adds source terms
@@ -25,7 +34,8 @@ a manufactured solution need not respect it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -81,6 +91,15 @@ class SolverConfig:
         object.__setattr__(self, "output_times", tuple(self.output_times))
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """Where a march stopped: its last state and its step controller, for ``extend``."""
+
+    state: FrontState
+    dt: float  # the step size the controller tries next
+    accepted_run: int  # consecutive acceptances since dt last grew or halved
+
+
 @dataclass
 class Trajectory:
     """Per-step summaries plus full snapshots at requested times."""
@@ -93,6 +112,7 @@ class Trajectory:
     sup_m: np.ndarray
     sup_n: np.ndarray
     snapshots: List[FrontState]
+    end: Optional[Checkpoint] = None  # set by the solver's runs
 
     @property
     def width(self) -> np.ndarray:
@@ -187,6 +207,29 @@ def solve_banded(factors, b):
     return x
 
 
+class SpatialTerms:
+    """The spatial terms of (a1, a2, d1, d2) at the interior nodes, kept while (g, h) is unchanged.
+
+    They depend on the step only through x, which depends only on g and h.
+    So on a run whose fronts have stalled (a vanishing run), the profiles
+    are evaluated once, not at every step.  One serves one march, whose
+    model and grid are fixed; ``_march_terms`` holds it while the march runs.
+    """
+
+    key = None  # the fronts (g, h) that ``terms`` belong to
+
+    def at(self, spec: ModelSpec, geom: FrontGeometry, y_int: np.ndarray) -> tuple:
+        if (geom.g, geom.h) != self.key:
+            x = geom.to_x(y_int)
+            self.terms = tuple(f.spatial_term(x) for f in (spec.a1, spec.a2, spec.d1, spec.d2))
+            self.key = (geom.g, geom.h)
+        return self.terms
+
+
+# the SpatialTerms of the march running in this context; None outside a march
+_march_terms: ContextVar[Optional[SpatialTerms]] = ContextVar("march_terms", default=None)
+
+
 def _stefan_velocities(mu: float, state: FrontState) -> Tuple[float, float]:
     """(gdot, hdot) by the Stefan rule x' = -mu U_x, with U_x = (2/w) m_y on the state's width."""
     scale = -mu * (2.0 / state.geom.width)
@@ -203,6 +246,8 @@ def step(
     """Advance one linearly implicit step of size dt; raises on failure (see module errors).
 
     ``fronts`` and ``sources`` are the verification hooks of the module docstring.
+    Inside ``_march`` the step takes the spatial terms from the march's
+    ``SpatialTerms``; outside it evaluates them afresh, to the same bits.
     """
     geom = state.geom
     y = state.y
@@ -213,12 +258,12 @@ def step(
     geom_c = FrontGeometry(*fronts(t1)) if fronts is not None else geom
     y_int = y[1:-1]
     Acoef, Bcoef = geom_c.metric_terms(y_int)
-    x = geom_c.to_x(y_int)
-
-    a1 = spec.a1.eval(x, t1)
-    a2 = spec.a2.eval(x, t1)
-    d1 = spec.d1.eval(x, t1)
-    d2 = spec.d2.eval(x, t1)
+    # each coefficient is eval(x, t1): its temporal factor plus its spatial term
+    s1, s2, s3, s4 = (_march_terms.get() or SpatialTerms()).at(spec, geom_c, y_int)
+    a1 = spec.a1.temporal(t1) + s1
+    a2 = spec.a2.temporal(t1) + s2
+    d1 = spec.d1.temporal(t1) + s3
+    d2 = spec.d2.temporal(t1) + s4
     S1, S2 = sources(y_int, t1) if sources is not None else (0.0, 0.0)
 
     # linearly implicit Euler, backward Euler's first Newton iterate from the old
@@ -232,7 +277,7 @@ def step(
     )
     mn = m * n
     u = solve_banded(factor_banded(ab), interleave(m / dt + S1 + a1 * mn, n / dt + S2 + a2 * mn))
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise NonFiniteError(f"non-finite values at t={t1}")
 
     m_new = np.zeros(J + 1)
@@ -257,8 +302,8 @@ def step(
 
 
 def _apply_bounds(u, cap, t):
-    lo = float(np.min(u))
-    hi = float(np.max(u))
+    lo = float(u.min())
+    hi = float(u.max())
     if hi > cap * (1.0 + OVERSHOOT_REL):
         raise BoundViolationError(f"value {hi:.6g} exceeds capacity {cap:.6g} at t={t}")
     if lo < -UNDERSHOOT_TOL:
@@ -295,13 +340,35 @@ def simulate(spec: ModelSpec, init: InitialData, cfg: SolverConfig) -> Trajector
     return _march(spec, state, cfg)
 
 
+def extend(spec: ModelSpec, traj: Trajectory, cfg: SolverConfig) -> Trajectory:
+    """A run ``traj`` of ``simulate`` or ``extend``, continued to the later cfg.t_end.
+
+    It continues from traj's end state and step controller (``traj.end``);
+    ``cfg`` is the run's config with a later horizon T2.  The rows and
+    snapshots of the continuation are joined to traj's, without a second row
+    at traj's end time T.  The result is bit for bit the run ``simulate``
+    makes to T2 with T among its output times, so each time unit is
+    integrated once.
+    """
+    end = traj.end
+    later = tuple(t for t in cfg.output_times if t > end.state.t + 1e-9)
+    more = _march(spec, end.state, replace(cfg, output_times=later), dt=end.dt,
+                  accepted_run=end.accepted_run)
+    rows = {c: np.concatenate((getattr(traj, c), getattr(more, c)[1:]))
+            for c in ("t", "g", "h", "gdot", "hdot", "sup_m", "sup_n")}
+    return Trajectory(**rows, snapshots=traj.snapshots + more.snapshots, end=more.end)
+
+
 def _march(
     spec: ModelSpec,
     state: FrontState,
     cfg: SolverConfig,
     fronts: Optional[Callable] = None,
     sources: Optional[Callable] = None,
+    dt: Optional[float] = None,
+    accepted_run: int = 0,
 ) -> Trajectory:
+    """March ``state`` to cfg.t_end; ``dt`` (cfg.dt0 if None) and ``accepted_run`` set the controller."""
     out_times = sorted(t for t in cfg.output_times if t <= cfg.t_end + 1e-12)
     snapshots: List[FrontState] = []
     rows = []  # one (t, g, h, gdot, hdot, sup_m, sup_n) per accepted state, as in Trajectory
@@ -309,7 +376,7 @@ def _march(
     def record(st: FrontState):
         geom = st.geom
         rows.append((st.t, geom.g, geom.h, geom.gdot, geom.hdot,
-                     float(np.max(st.m)), float(np.max(st.n))))
+                     float(st.m.max()), float(st.n.max())))
 
     record(state)
     pending = list(out_times)
@@ -317,28 +384,33 @@ def _march(
         snapshots.append(state)
         pending.pop(0)
 
-    dt = cfg.dt0
-    accepted_run = 0
-    while state.t < cfg.t_end - 1e-10:
-        dt_try = min(dt, cfg.t_end - state.t)
-        if pending:
-            dt_try = min(dt_try, pending[0] - state.t)
-        dt_try = max(dt_try, cfg.dt_min)
-        try:
-            new_state = step(spec, state, dt_try, fronts, sources)
-        except BoundViolationError as e:
-            accepted_run = 0
-            dt *= 0.5
-            if dt < cfg.dt_min:
-                raise type(e)(f"{e}; the step size reached dt_min={cfg.dt_min:g}") from None
-            continue
-        state = new_state
-        record(state)
-        while pending and state.t >= pending[0] - 1e-9:
-            snapshots.append(state)
-            pending.pop(0)
-        accepted_run += 1
-        if accepted_run >= 5:
-            dt = min(dt * 1.2, cfg.dt_max)
-            accepted_run = 0
-    return Trajectory(*(np.array(col) for col in zip(*rows)), snapshots=snapshots)
+    if dt is None:
+        dt = cfg.dt0
+    march_terms = _march_terms.set(SpatialTerms())
+    try:
+        while state.t < cfg.t_end - 1e-10:
+            dt_try = min(dt, cfg.t_end - state.t)
+            if pending:
+                dt_try = min(dt_try, pending[0] - state.t)
+            dt_try = max(dt_try, cfg.dt_min)
+            try:
+                new_state = step(spec, state, dt_try, fronts, sources)
+            except BoundViolationError as e:
+                accepted_run = 0
+                dt *= 0.5
+                if dt < cfg.dt_min:
+                    raise type(e)(f"{e}; the step size reached dt_min={cfg.dt_min:g}") from None
+                continue
+            state = new_state
+            record(state)
+            while pending and state.t >= pending[0] - 1e-9:
+                snapshots.append(state)
+                pending.pop(0)
+            accepted_run += 1
+            if accepted_run >= 5:
+                dt = min(dt * 1.2, cfg.dt_max)
+                accepted_run = 0
+    finally:
+        _march_terms.reset(march_terms)
+    return Trajectory(*(np.array(col) for col in zip(*rows)), snapshots=snapshots,
+                      end=Checkpoint(state, dt, accepted_run))

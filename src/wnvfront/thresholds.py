@@ -17,7 +17,7 @@ import numpy as np
 from .coefficients import LinearizationMatrix
 from .lyapunov import EstimatorConfig, lyapunov_exponent
 from .model import InitialData, ModelSpec
-from .solver import SolverConfig, Trajectory, simulate
+from .solver import SolverConfig, Trajectory, extend, simulate
 
 DEFAULT_SHIFTS = (-20.0, -10.0, -5.0, 0.0, 5.0, 10.0, 20.0)
 
@@ -137,7 +137,7 @@ def find_L_star(
     return _bisect(lambda L: lam(L) >= 0.0, L_lo, L_hi, cfg.bracket_tol)
 
 
-# Undetermined mu* probes are re-run at doubled horizons up to this multiple
+# Undetermined mu* probes are continued to doubled horizons up to this multiple
 MAX_HORIZON_FACTOR = 8
 
 
@@ -169,23 +169,27 @@ def find_mu_star(
     """Bisect the expansion rate on the simulate+classify predicate.
 
     Returns (mu_star, iterations, transcript).  A probe that comes out
-    Undetermined is re-run with its horizon doubled, again and again up
-    to MAX_HORIZON_FACTOR times the configured ``cfg.solver.t_end``;
+    Undetermined has its horizon doubled, again and again up to
+    MAX_HORIZON_FACTOR times the configured ``cfg.solver.t_end``;
     bisection places its last probes close to mu*, where extinction is
-    slowest, so one doubling is not always enough.  A probe still
-    Undetermined at that bound aborts the search with NotConvergedError.
+    slowest, so one doubling is not always enough.  Each doubling
+    continues the run from the state and step size it reached
+    (``solver.extend``), so a probe decided at 8x integrates 8 horizons,
+    not 1 + 2 + 4 + 8.  A probe still Undetermined at that bound aborts
+    the search with NotConvergedError.
     """
     transcript: List[ProbeRecord] = []
     t_limit = MAX_HORIZON_FACTOR * cfg.solver.t_end
 
     def probe(mu: float) -> str:
-        scfg = cfg.solver
+        spec_mu, scfg = spec.with_mu(mu), cfg.solver
+        traj = simulate(spec_mu, init, scfg)
         while True:
-            traj = simulate(spec.with_mu(mu), init, scfg)
             verdict = classify(traj, cfg.L_star).verdict
             if verdict != "Undetermined" or scfg.t_end >= t_limit:
                 break
             scfg = replace(scfg, t_end=2.0 * scfg.t_end)
+            traj = extend(spec_mu, traj, scfg)
         transcript.append(ProbeRecord(mu, verdict, scfg.t_end))
         if verdict == "Undetermined":
             raise NotConvergedError(f"probe at mu={mu} undetermined at horizon t_end={scfg.t_end:g}")

@@ -276,3 +276,14 @@ def test_evaluator_equals_entries(fields, N1, N2, t):
     for got, entry, expected in zip(mat.evaluator(x)(t), mat.entries(x, t), by_field):
         np.testing.assert_array_equal(got, entry)
         np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fields(), st.floats(0.0, 1e4))
+def test_temporal_at_a_float_equals_the_array_path(field, t):
+    # a float time (the solver's step and the estimator) takes math's trig; the bits are numpy's
+    at_float = field.temporal(t)
+    assert type(at_float) is float
+    times = np.array([t, 0.5 * t, 2.0 * t])
+    assert at_float == np.broadcast_to(field.temporal(times), times.shape)[0]
+    assert at_float == field.temporal(np.asarray(t))

@@ -1,11 +1,14 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.linalg import LinAlgError
 from scipy.linalg import block_diag
 
-from wnvfront import solver
-from wnvfront.coefficients import constant_field
+from wnvfront import load_config, solver
+from wnvfront.coefficients import CoefficientField, constant_field
 from wnvfront.model import InitialData, ModelSpec
 from wnvfront.solver import (
     BANDS,
@@ -15,6 +18,7 @@ from wnvfront.solver import (
     _march,
     banded_operator,
     boundary_derivative,
+    extend,
     factor_banded,
     initial_state,
     simulate,
@@ -23,6 +27,7 @@ from wnvfront.solver import (
 )
 from wnvfront.transform import FrontGeometry
 
+FIG1C = Path(__file__).resolve().parents[1] / "configs" / "paper_fig1c.cfg"
 
 # the unit half-width at rest, passed to _march in place of the Stefan rule
 def _frozen_fronts(t):
@@ -301,3 +306,64 @@ def test_front_update_satisfies_integral_identity():
     fine = _front_identity_gap(200, 0.01)
     assert coarse < 1e-3
     assert fine < coarse / 3.0
+
+
+def _fig1c(mu=None):
+    run = load_config(FIG1C)
+    spec = run.model_spec()
+    return (spec if mu is None else spec.with_mu(mu)), run.initial_data()
+
+
+def test_extend_is_the_uninterrupted_run():
+    # the last mu* probe of the benchmark's search, Undetermined at T=300
+    spec, init = _fig1c(mu=0.86640625)
+    cfg = SolverConfig(J=64, dt_max=0.5, t_end=300.0)
+    resumed = extend(spec, simulate(spec, init, cfg), replace(cfg, t_end=600.0))
+    whole = simulate(spec, init, replace(cfg, t_end=600.0, output_times=(300.0,)))
+    for col in ("t", "g", "h", "gdot", "hdot", "sup_m", "sup_n"):
+        np.testing.assert_array_equal(getattr(resumed, col), getattr(whole, col), err_msg=col)
+    assert np.all(np.diff(resumed.t) > 0.0)
+    assert np.count_nonzero(resumed.t == 300.0) == 1
+    assert resumed.t[-1] == 600.0
+    a, b = resumed.end, whole.end
+    assert (a.dt, a.accepted_run, a.state.t, a.state.geom) == (b.dt, b.accepted_run, b.state.t, b.state.geom)
+    np.testing.assert_array_equal(a.state.m, b.state.m)
+    np.testing.assert_array_equal(a.state.n, b.state.n)
+
+
+def test_march_reuses_spatial_terms_to_the_same_bits(monkeypatch):
+    # a vanishing run: its fronts stall, so the march keeps the spatial terms for
+    # most steps; public step calls evaluate all four afresh at every step
+    spec, init = _fig1c()
+    cfg = SolverConfig(J=64, dt_max=0.5, t_end=300.0)
+    profile_calls, step_sizes = [], []
+    spatial_term, march_step = CoefficientField.spatial_term, solver.step
+
+    def counted(field, x):
+        profile_calls.append(field)
+        return spatial_term(field, x)
+
+    def recorded(spec, state, dt, *args):
+        new = march_step(spec, state, dt, *args)
+        step_sizes.append(dt)
+        return new
+
+    monkeypatch.setattr(CoefficientField, "spatial_term", counted)
+    monkeypatch.setattr(solver, "step", recorded)
+    traj = simulate(spec, init, cfg)
+    monkeypatch.setattr(solver, "step", march_step)
+    assert len(step_sizes) == len(traj.t) - 1
+    assert profile_calls.count(spec.a1) < len(step_sizes) / 2
+    # np.diff(traj.t) is not the step size to the bit: t + dt rounds
+    state = initial_state(spec, init, cfg)
+    g, h = [state.geom.g], [state.geom.h]
+    del profile_calls[:]
+    for dt in step_sizes:
+        state = step(spec, state, dt)
+        g.append(state.geom.g)
+        h.append(state.geom.h)
+    assert len(profile_calls) == 4 * len(step_sizes)
+    np.testing.assert_array_equal(g, traj.g)
+    np.testing.assert_array_equal(h, traj.h)
+    np.testing.assert_array_equal(state.m, traj.end.state.m)
+    np.testing.assert_array_equal(state.n, traj.end.state.n)

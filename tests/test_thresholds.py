@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import wnvfront.thresholds as th
+from wnvfront import load_config
 from wnvfront.coefficients import LinearizationMatrix
 from wnvfront.lyapunov import EstimatorConfig, lyapunov_constant_oracle
 from wnvfront.solver import SolverConfig, Trajectory
@@ -116,6 +119,20 @@ def test_lstar_search_result_is_pinned(ref_spec):
     assert find_L_star(mat, D, (0.3, 3.0), cfg) == (1.28349609375, 9)
 
 
+def test_mustar_search_result_is_pinned():
+    # the benchmark's mustar-search settings; continuing undecided probes must not move mu*
+    run = load_config(Path(__file__).resolve().parents[1] / "configs" / "paper_fig1c.cfg")
+    cfg = MuStarConfig(solver=SolverConfig(J=64, dt_max=0.5, t_end=300.0), L_star=1.2703)
+    mu_star, iterations, transcript = find_mu_star(run.model_spec(), run.initial_data(),
+                                                   (0.1, 1.0), cfg)
+    assert (mu_star, iterations) == (0.869921875, 7)
+    decided_at_300 = [(0.1, "Vanishing"), (1.0, "Spreading"), (0.55, "Vanishing"),
+                      (0.775, "Vanishing"), (0.8875, "Spreading"), (0.83125, "Vanishing"),
+                      (0.859375, "Vanishing"), (0.8734375, "Spreading")]
+    assert transcript == ([ProbeRecord(mu, verdict, 300.0) for mu, verdict in decided_at_300]
+                          + [ProbeRecord(0.86640625, "Vanishing", 1200.0)])
+
+
 class _MuProbeStub:
     """Replaces simulate/classify so the bisection logic runs without PDE solves."""
 
@@ -171,15 +188,27 @@ def test_search_tolerances_must_be_positive(build):
 
 
 class _SlowProbeStub(_MuProbeStub):
-    """Probes stay Undetermined until the horizon reaches ``decided_at``."""
+    """Probes stay Undetermined until the horizon reaches ``decided_at``.
+
+    ``simulate`` starts a probe and ``extend`` continues it; both record the
+    horizon they reach, and the time they integrate is summed per probe.
+    """
 
     def __init__(self, mu_star, decided_at):
         super().__init__(mu_star)
         self.decided_at = decided_at
         self.horizons = []
+        self.integrated = []  # time units integrated, one entry per probe
 
     def simulate(self, spec, init, cfg):
         self.horizons.append(cfg.t_end)
+        self.integrated.append(cfg.t_end)
+        return spec, cfg.t_end
+
+    def extend(self, spec, run, cfg):
+        assert run[0] is spec
+        self.horizons.append(cfg.t_end)
+        self.integrated[-1] += cfg.t_end - run[1]
         return spec, cfg.t_end
 
     def classify(self, run, L_star):
@@ -188,11 +217,14 @@ class _SlowProbeStub(_MuProbeStub):
             return th.Classification("Undetermined", {})
         return super().classify(spec, L_star)
 
+    def install(self, monkeypatch):
+        for name in ("simulate", "extend", "classify"):
+            monkeypatch.setattr(th, name, getattr(self, name))
+
 
 def test_find_mustar_extends_horizon_until_decided(monkeypatch, ref_spec):
     stub = _SlowProbeStub(mu_star=0.147, decided_at=1200.0)
-    monkeypatch.setattr(th, "simulate", stub.simulate)
-    monkeypatch.setattr(th, "classify", stub.classify)
+    stub.install(monkeypatch)
     mu_star, _, transcript = find_mu_star(
         ref_spec, None, (0.1, 0.2), MuStarConfig(solver=SolverConfig(t_end=300.0))
     )
@@ -200,16 +232,18 @@ def test_find_mustar_extends_horizon_until_decided(monkeypatch, ref_spec):
     assert mu_star == pytest.approx(0.147, abs=0.2 * 1e-2 + 5e-4)
     assert all(r.verdict != "Undetermined" and r.t_end == 1200.0 for r in transcript)
     assert transcript_monotone(transcript)
+    # each probe continues its run: it integrates 1200 time units, not 300 + 600 + 1200
+    assert stub.integrated == [1200.0] * len(transcript)
 
 
 def test_find_mustar_undetermined_at_horizon_bound(monkeypatch, ref_spec):
     stub = _SlowProbeStub(mu_star=0.147, decided_at=4800.0)
-    monkeypatch.setattr(th, "simulate", stub.simulate)
-    monkeypatch.setattr(th, "classify", stub.classify)
+    stub.install(monkeypatch)
     with pytest.raises(th.NotConvergedError):
         find_mu_star(ref_spec, None, (0.1, 0.2), MuStarConfig(solver=SolverConfig(t_end=300.0)))
-    # the configured horizon and three doublings: the bound is 8x
+    # the configured horizon and three doublings: the bound is 8x, integrated once (8T, not 15T)
     assert stub.horizons == [300.0, 600.0, 1200.0, 2400.0]
+    assert stub.integrated == [2400.0]
 
 
 def test_transcript_monotone():
