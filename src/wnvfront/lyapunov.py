@@ -15,12 +15,18 @@ is ERR_FACTOR times the larger of two changes of ``lam``: since the previous
 checkpoint, and when the window shrinks to [T/4, 5T/8].  An estimate is
 decided at its first checkpoint with err < tol.  Several spatial shifts are
 integrated together as the blocks of one block-diagonal system.
+
+A search that needs only the sign of the worst exponent (``find_L_star``)
+asks for sign mode: an estimate then also stops at the first checkpoint
+whose error bars fix that sign, a block in the positive cone with
+lam + err < 0, or every block in the cone with lam - err > 0.  Until then
+it is the estimate of the tol rule, to the bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +61,7 @@ class LyapunovEstimate:
     lam: float
     renorm_count: int
     err: float  # error bar on lam; inf at the first checkpoint
-    converged: bool  # decided (err < tol) with the positive cone kept
+    converged: bool  # decided (err < tol, or in sign mode a sign fixed) with the positive cone kept
     positive_cone: bool
     shift: float  # the spatial shift this estimate was integrated at
 
@@ -83,6 +89,8 @@ def lyapunov_exponent(
     D,
     cfg: EstimatorConfig = EstimatorConfig(),
     shifts: Sequence[float] = (0.0,),
+    *,
+    sign_only: bool = False,
 ) -> LyapunovEstimate:
     """Estimate the principal Lyapunov exponent on [-L, L]; the worst over ``shifts``.
 
@@ -95,6 +103,10 @@ def lyapunov_exponent(
     smallest ``lam`` is returned (the first on a tie) with its shift; each
     block's arithmetic is that of a lone shift, so it equals the minimum of
     the single-shift estimates exactly.
+
+    With ``sign_only`` the call also returns, converged, at the first
+    checkpoint whose error bars fix the sign of the worst exponent, with the
+    block that ``_sign_block`` names.
     """
     if not 0 < L < np.inf:
         raise ValueError("L must be positive and finite")
@@ -136,6 +148,7 @@ def lyapunov_exponent(
     s[:, 0] = np.log(np.sum(u, axis=1))
     lam, err = np.full(nb, np.inf), np.full(nb, np.inf)  # per block, at its last checkpoint
     decided = np.zeros(nb, dtype=bool)
+    signed = None  # in sign mode, the block that fixed the sign
     for k in range(1, n_cap + 1):
         t = k * dt
         if not autonomous:
@@ -164,18 +177,38 @@ def lyapunov_exponent(
         lam[open_], err[open_] = new[open_], ERR_FACTOR * change[open_]
         cone_ok[open_] &= np.min(u[open_], axis=1) > 0.0
         decided |= err < cfg.tol
+        if sign_only:
+            signed = _sign_block(lam, err, cone_ok)
+            if signed is not None:
+                break
         if decided.all():
             break
 
-    b = int(np.argmin(lam))
+    b = int(np.argmin(lam)) if signed is None else signed
     return LyapunovEstimate(
         lam=float(lam[b]),
         renorm_count=int(renorms[b]),
         err=float(err[b]),
-        converged=bool(decided[b] and cone_ok[b]),
+        converged=signed is not None or bool(decided[b] and cone_ok[b]),
         positive_cone=bool(cone_ok[b]),
         shift=float(shifts[b]),
     )
+
+
+def _sign_block(lam: np.ndarray, err: np.ndarray, cone_ok: np.ndarray) -> Optional[int]:
+    """The block whose error bar fixes the sign of the smallest lam, or None while it is open.
+
+    A block in the positive cone with lam + err < 0 makes the worst exponent
+    negative: the smallest such lam is returned.  Every block in the cone
+    with lam - err > 0 makes it positive: the smallest lam is returned.  An
+    infinite err (the first checkpoint) fixes nothing.
+    """
+    negative = cone_ok & (lam + err < 0.0)
+    if negative.any():
+        return int(np.argmin(np.where(negative, lam, np.inf)))
+    if np.all(cone_ok & (lam - err > 0.0)):
+        return int(np.argmin(lam))
+    return None
 
 
 def _bump_mean(s: np.ndarray, dt: float, i0: int, i1: int) -> np.ndarray:

@@ -116,17 +116,21 @@ def find_L_star(
 
     Returns (L_star, iterations).  The exponent at each half-width is the
     worst (smallest) over ``cfg.shifts``, from one estimate that integrates
-    all the shifts together.  An estimate that is not converged (undecided
-    at the horizon, or out of the positive cone) raises NotConvergedError.
+    all the shifts together.  The bisection reads only its sign, so each
+    estimate runs in sign mode: it stops once its error bars fix the sign,
+    or else once err < tol.  An estimate decided by neither rule at the
+    horizon, or out of the positive cone, raises NotConvergedError.
     """
     L_lo, L_hi = bracket
     if not 0 < L_lo < L_hi < np.inf:
         raise ValueError("need 0 < L_lo < L_hi, both finite")
 
     def lam(L: float) -> float:
-        est = lyapunov_exponent(mat, L, D, cfg.estimator, shifts=cfg.shifts)
+        est = lyapunov_exponent(mat, L, D, cfg.estimator, shifts=cfg.shifts, sign_only=True)
         if not est.converged:
-            raise NotConvergedError(f"exponent at L={L} not converged at the horizon: {est}")
+            raise NotConvergedError(f"exponent at L={L} not converged at the horizon: its error "
+                                    f"bars neither fixed its sign nor fell below tol in the "
+                                    f"positive cone: {est}")
         return est.lam
 
     lam_lo, lam_hi = lam(L_lo), lam(L_hi)

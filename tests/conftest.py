@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wnvfront as w
+import wnvfront.lyapunov as ly
 from wnvfront.solver import SolverConfig
 
 # one line per acceptance criterion, echoed in the terminal summary
@@ -30,3 +31,17 @@ def fast_solver():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def estimator_solves(monkeypatch):
+    """A list that gains one entry per banded solve of the exponent estimator: one per step."""
+    calls = []
+    solve = ly.solve_banded
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(ly, "solve_banded", counted)
+    return calls

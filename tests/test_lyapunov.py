@@ -11,6 +11,7 @@ from wnvfront.lyapunov import (
     lyapunov_exponent,
 )
 from wnvfront.solver import NonFiniteError
+from wnvfront.thresholds import DEFAULT_SHIFTS
 
 FAST = EstimatorConfig(J=96, dt=0.01, horizon=60.0)
 
@@ -175,6 +176,57 @@ def test_factoring_once_equals_factoring_every_step(shifts):
     for L in (0.5, 2.0):
         once = lyapunov_exponent(const, L, (1.0, 0.5), cfg, shifts=shifts)
         assert lyapunov_exponent(stepped, L, (1.0, 0.5), cfg, shifts=shifts) == once
+
+
+# the benchmark's lstar-search estimator: checkpoints at steps 50, 100, 200, 400 and the cap 800
+SEARCH = EstimatorConfig(J=32, dt=0.5, horizon=400.0)
+
+
+def _steps_and_estimate(solves, *args, **kwargs):
+    solves.clear()
+    est = lyapunov_exponent(*args, **kwargs)
+    return len(solves), est
+
+
+def test_sign_mode_stops_once_every_bar_is_above_zero(estimator_solves, ref_spec):
+    mat, D = ref_spec.linearization(), (ref_spec.D1, ref_spec.D2)
+    steps, est = _steps_and_estimate(estimator_solves, mat, 3.0, D, SEARCH, shifts=DEFAULT_SHIFTS)
+    assert steps == 800 and est.converged  # the tol rule runs to the cap
+    steps, signed = _steps_and_estimate(estimator_solves, mat, 3.0, D, SEARCH,
+                                        shifts=DEFAULT_SHIFTS, sign_only=True)
+    assert steps == 100
+    assert signed.converged and signed.positive_cone
+    assert signed.lam > signed.err > SEARCH.tol
+
+
+def test_sign_mode_is_the_tol_rule_while_the_bars_straddle_zero(estimator_solves, ref_spec):
+    # the search's last probe: the tol rule decides it at T=200 (lam = +0.0022, err = 0.0012),
+    # and no earlier checkpoint fixes its sign
+    mat, D = ref_spec.linearization(), (ref_spec.D1, ref_spec.D2)
+    L = 1.2861328125
+    steps, est = _steps_and_estimate(estimator_solves, mat, L, D, SEARCH, shifts=DEFAULT_SHIFTS)
+    signed_steps, signed = _steps_and_estimate(estimator_solves, mat, L, D, SEARCH,
+                                               shifts=DEFAULT_SHIFTS, sign_only=True)
+    assert signed_steps == steps == 400
+    assert signed == est
+    assert est.converged and est.err < SEARCH.tol
+
+
+def test_sign_mode_returns_a_negative_block_while_another_is_open(estimator_solves, ref_spec):
+    # at L=1.18 shift 10 reads -0.0605 +- 0.0303 at T=50, shift 0 reads -0.0026 +- 0.0289
+    mat, D = ref_spec.linearization(), (ref_spec.D1, ref_spec.D2)
+    L = 1.18
+    steps, signed = _steps_and_estimate(estimator_solves, mat, L, D, SEARCH, shifts=(0.0, 10.0),
+                                        sign_only=True)
+    assert steps == 100
+    assert signed.shift == 10.0 and signed.converged
+    assert signed.lam + signed.err < 0.0
+    assert signed == lyapunov_exponent(mat, L, D, SEARCH, shifts=(10.0,), sign_only=True)
+    # shift 0 alone, to the same checkpoint: its bar straddles zero and is above tol
+    open_ = lyapunov_exponent(mat, L, D, replace(SEARCH, horizon=50.0), shifts=(0.0,))
+    assert abs(open_.lam) < open_.err and open_.err >= SEARCH.tol and not open_.converged
+    # the tol rule goes on past T=50
+    assert _steps_and_estimate(estimator_solves, mat, L, D, SEARCH, shifts=(0.0, 10.0))[0] > 100
 
 
 def test_batched_shifts_require_one():

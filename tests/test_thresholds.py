@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +119,45 @@ def test_lstar_search_result_is_pinned(ref_spec):
     mat, D = ref_spec.linearization(), (ref_spec.D1, ref_spec.D2)
     cfg = LStarConfig(estimator=EstimatorConfig(J=32, dt=0.5, horizon=400.0))
     assert find_L_star(mat, D, (0.3, 3.0), cfg) == (1.28349609375, 9)
+
+
+def test_find_lstar_raises_when_a_finite_bar_straddles_zero_at_the_horizon(ref_spec):
+    # a horizon of 50 ends at the second checkpoint; at L=1.18 its bar is finite and
+    # straddles zero (-0.0026 +- 0.029), so it neither fixes the sign nor is below tol
+    mat, D = ref_spec.linearization(), (ref_spec.D1, ref_spec.D2)
+    cfg = LStarConfig(estimator=EstimatorConfig(J=32, dt=0.5, horizon=50.0), shifts=(0.0,))
+    est = th.lyapunov_exponent(mat, 1.18, D, cfg.estimator, shifts=cfg.shifts, sign_only=True)
+    assert np.isfinite(est.err) and abs(est.lam) < est.err and est.positive_cone
+    assert not est.converged
+    with pytest.raises(th.NotConvergedError, match="not converged.*fixed its sign.*below tol"):
+        find_L_star(mat, D, (1.18, 3.0), cfg)
+
+
+def _perfbench_checks():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lstar_search_solve_counts_are_pinned(estimator_solves, ref_spec):
+    # the benchmark's lstar-search round, one banded solve per estimator step.  Sign-decided
+    # estimates cut the heterogeneous search from 4,500 solves; each constant-matrix
+    # estimate is decided at T=50 under either rule
+    D = (ref_spec.D1, ref_spec.D2)
+    estimator = EstimatorConfig(J=32, dt=0.5, horizon=400.0)
+    assert find_L_star(ref_spec.linearization(), D, (0.3, 3.0),
+                       LStarConfig(estimator=estimator)) == (1.28349609375, 9)
+    assert len(estimator_solves) == 2500
+    checks = _perfbench_checks()
+    A_min, _ = checks.comparison_matrices(checks.read_model(
+        Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"))
+    estimator_solves.clear()
+    assert find_L_star(LinearizationMatrix.constant(A_min), D, (0.3, 3.0),
+                       LStarConfig(estimator=estimator, shifts=(0.0,))) == (1.83720703125, 9)
+    assert len(estimator_solves) == 1100
 
 
 def test_mustar_search_result_is_pinned():
