@@ -66,6 +66,7 @@ def write_trajectory_csv(traj: Trajectory, outdir) -> List[Path]:
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 60, 20, 30, 45
+HEATMAP_CELLS = 300  # a heatmap's x samples, and its cap of cells along either axis
 
 
 def _scale(vals, lo, hi, out_lo, out_hi):
@@ -127,12 +128,12 @@ def svg_line_chart(
     return _write_svg(path, title, body)
 
 
-def _downsample(M: np.ndarray, max_cells: int = 300) -> np.ndarray:
-    """Block-average rows/columns down to at most max_cells each."""
+def _downsample(M: np.ndarray) -> np.ndarray:
+    """Block-average rows/columns down to at most HEATMAP_CELLS each."""
     for axis in (0, 1):
         n = M.shape[axis]
-        if n > max_cells:
-            factor = int(np.ceil(n / max_cells))
+        if n > HEATMAP_CELLS:
+            factor = int(np.ceil(n / HEATMAP_CELLS))
             trim = (n // factor) * factor
             M = np.take(M, range(trim), axis=axis)
             shape = list(M.shape)
@@ -171,13 +172,13 @@ def svg_heatmap(M: np.ndarray, path, title: str = "") -> Path:
     return _write_svg(path, title, body)
 
 
-def trajectory_heatmap_matrix(traj: Trajectory, n_x: int = 300):
-    """Space-time raster of U from the snapshots, on a common x grid."""
+def trajectory_heatmap_matrix(traj: Trajectory):
+    """Space-time raster of U from the snapshots, on a common grid of HEATMAP_CELLS x values."""
     if not traj.snapshots:
         raise ValueError("trajectory has no snapshots")
     g_min = min(st.geom.g for st in traj.snapshots)
     h_max = max(st.geom.h for st in traj.snapshots)
-    xg = np.linspace(g_min, h_max, n_x)
+    xg = np.linspace(g_min, h_max, HEATMAP_CELLS)
     rows = []
     for st in traj.snapshots:
         x = st.geom.to_x(st.y)

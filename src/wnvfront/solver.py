@@ -17,9 +17,10 @@ splitting whose O(dt) error matches the time step's.
 
 A coefficient is its temporal factor plus its spatial term, and the
 spatial term depends on the step only through the fronts (g, h).  So
-``_march`` keeps the four spatial terms while (g, h) is unchanged, as on a
-vanishing run whose fronts have stalled, and evaluates only the temporal
-factors, at the step's float time.  A lone ``step`` evaluates everything
+``_march`` hands ``step`` one dict, ``terms``, that keeps the four spatial
+terms while (g, h) is unchanged, as on a vanishing run whose fronts have
+stalled, and the step evaluates only the temporal factors, at its float
+time.  A lone ``step`` starts from an empty dict and evaluates everything
 afresh, to the same bits.  A run ends with its state and step controller
 (``Trajectory.end``), from which ``extend`` continues it to a later
 horizon, bit for bit as if it had not stopped.
@@ -34,7 +35,6 @@ a manufactured solution need not respect it.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
@@ -57,6 +57,7 @@ class BoundViolationError(ArithmeticError):
 UNDERSHOOT_TOL = 1e-10  # clip band for negative discretization noise
 OVERSHOOT_REL = 1e-8  # allowed relative excess above capacity
 BANDS = (2, 2)  # lower and upper bandwidths of banded_operator's matrix
+TIME_TOL = 1e-9  # a march time within this of an output time or the horizon has landed on it
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,8 @@ class Trajectory:
         return self.h - self.g
 
 
-def boundary_derivative(state: FrontState, side: str) -> float:
-    """Second-order one-sided estimate of m_y at y = +1 ('right') or -1 ('left')."""
-    m = state.m
+def boundary_derivative(m: np.ndarray, side: str) -> float:
+    """Second-order one-sided estimate of m_y at y = +1 ('right') or -1 ('left') from grid values m."""
     J = len(m) - 1
     if J < 3:
         raise ValueError("need J >= 3")
@@ -207,33 +207,10 @@ def solve_banded(factors, b):
     return x
 
 
-class SpatialTerms:
-    """The spatial terms of (a1, a2, d1, d2) at the interior nodes, kept while (g, h) is unchanged.
-
-    They depend on the step only through x, which depends only on g and h.
-    So on a run whose fronts have stalled (a vanishing run), the profiles
-    are evaluated once, not at every step.  One serves one march, whose
-    model and grid are fixed; ``_march_terms`` holds it while the march runs.
-    """
-
-    key = None  # the fronts (g, h) that ``terms`` belong to
-
-    def at(self, spec: ModelSpec, geom: FrontGeometry, y_int: np.ndarray) -> tuple:
-        if (geom.g, geom.h) != self.key:
-            x = geom.to_x(y_int)
-            self.terms = tuple(f.spatial_term(x) for f in (spec.a1, spec.a2, spec.d1, spec.d2))
-            self.key = (geom.g, geom.h)
-        return self.terms
-
-
-# the SpatialTerms of the march running in this context; None outside a march
-_march_terms: ContextVar[Optional[SpatialTerms]] = ContextVar("march_terms", default=None)
-
-
-def _stefan_velocities(mu: float, state: FrontState) -> Tuple[float, float]:
-    """(gdot, hdot) by the Stefan rule x' = -mu U_x, with U_x = (2/w) m_y on the state's width."""
-    scale = -mu * (2.0 / state.geom.width)
-    return scale * boundary_derivative(state, "left"), scale * boundary_derivative(state, "right")
+def _stefan_velocities(mu: float, m: np.ndarray, width: float) -> Tuple[float, float]:
+    """(gdot, hdot) by the Stefan rule x' = -mu U_x, with U_x = (2/width) m_y."""
+    scale = -mu * (2.0 / width)
+    return scale * boundary_derivative(m, "left"), scale * boundary_derivative(m, "right")
 
 
 def step(
@@ -242,12 +219,13 @@ def step(
     dt: float,
     fronts: Optional[Callable] = None,
     sources: Optional[Callable] = None,
+    terms: Optional[dict] = None,
 ) -> FrontState:
     """Advance one linearly implicit step of size dt; raises on failure (see module errors).
 
     ``fronts`` and ``sources`` are the verification hooks of the module docstring.
-    Inside ``_march`` the step takes the spatial terms from the march's
-    ``SpatialTerms``; outside it evaluates them afresh, to the same bits.
+    ``terms`` is ``_march``'s cache of the spatial terms, keyed on the fronts
+    (g, h) and refilled when they move; without it they are evaluated afresh.
     """
     geom = state.geom
     y = state.y
@@ -259,7 +237,13 @@ def step(
     y_int = y[1:-1]
     Acoef, Bcoef = geom_c.metric_terms(y_int)
     # each coefficient is eval(x, t1): its temporal factor plus its spatial term
-    s1, s2, s3, s4 = (_march_terms.get() or SpatialTerms()).at(spec, geom_c, y_int)
+    key = (geom_c.g, geom_c.h)
+    terms = {} if terms is None else terms
+    if key not in terms:  # new fronts: the old terms are stale
+        x = geom_c.to_x(y_int)
+        terms.clear()
+        terms[key] = tuple(f.spatial_term(x) for f in (spec.a1, spec.a2, spec.d1, spec.d2))
+    s1, s2, s3, s4 = terms[key]
     a1 = spec.a1.temporal(t1) + s1
     a2 = spec.a2.temporal(t1) + s2
     d1 = spec.d1.temporal(t1) + s3
@@ -291,7 +275,7 @@ def step(
     if fronts is not None:
         geom_new = geom_c
     else:
-        gdot, hdot = _stefan_velocities(spec.mu, FrontState(t1, y, m_new, n_new, geom))
+        gdot, hdot = _stefan_velocities(spec.mu, m_new, geom.width)
         geom_new = FrontGeometry(
             g=geom.g + dt * gdot,
             h=geom.h + dt * hdot,
@@ -322,8 +306,7 @@ def initial_state(spec: ModelSpec, init: InitialData, cfg: SolverConfig) -> Fron
     n = init.v0(x, spec.h0)
     m[0] = m[-1] = 0.0
     n[0] = n[-1] = 0.0
-    at_rest = FrontGeometry(-spec.h0, spec.h0, 0.0, 0.0)
-    gdot, hdot = _stefan_velocities(spec.mu, FrontState(0.0, y, m, n, at_rest))
+    gdot, hdot = _stefan_velocities(spec.mu, m, 2.0 * spec.h0)
     return FrontState(0.0, y, m, n, FrontGeometry(-spec.h0, spec.h0, gdot, hdot))
 
 
@@ -351,7 +334,7 @@ def extend(spec: ModelSpec, traj: Trajectory, cfg: SolverConfig) -> Trajectory:
     integrated once.
     """
     end = traj.end
-    later = tuple(t for t in cfg.output_times if t > end.state.t + 1e-9)
+    later = tuple(t for t in cfg.output_times if t > end.state.t + TIME_TOL)
     more = _march(spec, end.state, replace(cfg, output_times=later), dt=end.dt,
                   accepted_run=end.accepted_run)
     rows = {c: np.concatenate((getattr(traj, c), getattr(more, c)[1:]))
@@ -369,7 +352,7 @@ def _march(
     accepted_run: int = 0,
 ) -> Trajectory:
     """March ``state`` to cfg.t_end; ``dt`` (cfg.dt0 if None) and ``accepted_run`` set the controller."""
-    out_times = sorted(t for t in cfg.output_times if t <= cfg.t_end + 1e-12)
+    out_times = sorted(t for t in cfg.output_times if t <= cfg.t_end + TIME_TOL)
     snapshots: List[FrontState] = []
     rows = []  # one (t, g, h, gdot, hdot, sup_m, sup_n) per accepted state, as in Trajectory
 
@@ -380,37 +363,34 @@ def _march(
 
     record(state)
     pending = list(out_times)
-    while pending and pending[0] <= state.t + 1e-12:
+    while pending and pending[0] <= state.t + TIME_TOL:
         snapshots.append(state)
         pending.pop(0)
 
     if dt is None:
         dt = cfg.dt0
-    march_terms = _march_terms.set(SpatialTerms())
-    try:
-        while state.t < cfg.t_end - 1e-10:
-            dt_try = min(dt, cfg.t_end - state.t)
-            if pending:
-                dt_try = min(dt_try, pending[0] - state.t)
-            dt_try = max(dt_try, cfg.dt_min)
-            try:
-                new_state = step(spec, state, dt_try, fronts, sources)
-            except BoundViolationError as e:
-                accepted_run = 0
-                dt *= 0.5
-                if dt < cfg.dt_min:
-                    raise type(e)(f"{e}; the step size reached dt_min={cfg.dt_min:g}") from None
-                continue
-            state = new_state
-            record(state)
-            while pending and state.t >= pending[0] - 1e-9:
-                snapshots.append(state)
-                pending.pop(0)
-            accepted_run += 1
-            if accepted_run >= 5:
-                dt = min(dt * 1.2, cfg.dt_max)
-                accepted_run = 0
-    finally:
-        _march_terms.reset(march_terms)
+    terms = {}  # step's cache of the spatial terms while the fronts stand still
+    while state.t < cfg.t_end - TIME_TOL:
+        dt_try = min(dt, cfg.t_end - state.t)
+        if pending:
+            dt_try = min(dt_try, pending[0] - state.t)
+        dt_try = max(dt_try, cfg.dt_min)
+        try:
+            new_state = step(spec, state, dt_try, fronts, sources, terms)
+        except BoundViolationError as e:
+            accepted_run = 0
+            dt *= 0.5
+            if dt < cfg.dt_min:
+                raise type(e)(f"{e}; the step size reached dt_min={cfg.dt_min:g}") from None
+            continue
+        state = new_state
+        record(state)
+        while pending and state.t >= pending[0] - TIME_TOL:
+            snapshots.append(state)
+            pending.pop(0)
+        accepted_run += 1
+        if accepted_run >= 5:
+            dt = min(dt * 1.2, cfg.dt_max)
+            accepted_run = 0
     return Trajectory(*(np.array(col) for col in zip(*rows)), snapshots=snapshots,
                       end=Checkpoint(state, dt, accepted_run))

@@ -156,10 +156,10 @@ def test_verify_with_failed_runs_is_exit_2(tmp_path, monkeypatch, capsys, fails)
     # the comparison runs have no sources, the manufactured runs have them
     step = solver.step
 
-    def failing(spec, state, dt, fronts=None, sources=None):
+    def failing(spec, state, dt, fronts=None, sources=None, terms=None):
         if fails(state, dt, sources):
             raise NonFiniteError(f"non-finite values at t={state.t + dt}")
-        return step(spec, state, dt, fronts, sources)
+        return step(spec, state, dt, fronts, sources, terms)
 
     monkeypatch.setattr(solver, "step", failing)
     assert cli_main(["--out", str(tmp_path / "v"), "verify"]) == EXIT_NUMERICAL

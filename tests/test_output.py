@@ -115,7 +115,7 @@ def test_heatmap_empty_rejected(tmp_path):
 
 def test_downsample_caps_size():
     M = np.random.default_rng(0).random((900, 700))
-    out = _downsample(M, max_cells=300)
+    out = _downsample(M)
     assert out.shape[0] <= 300 and out.shape[1] <= 300
     # block averaging preserves the mean of the trimmed block
     assert abs(np.mean(out) - np.mean(M)) < 0.01

@@ -53,11 +53,11 @@ def test_boundary_derivative_zero_and_quadratic():
     J = 40
     y = np.linspace(-1, 1, J + 1)
     zero = _state(y, np.zeros(J + 1), np.zeros(J + 1))
-    assert boundary_derivative(zero, "right") == 0.0
+    assert boundary_derivative(zero.m, "right") == 0.0
     quad = _state(y, 1.0 - y * y, np.zeros(J + 1))
     # quadratics are exact for the 3-point one-sided stencil
-    assert boundary_derivative(quad, "right") == pytest.approx(-2.0, abs=1e-12)
-    assert boundary_derivative(quad, "left") == pytest.approx(2.0, abs=1e-12)
+    assert boundary_derivative(quad.m, "right") == pytest.approx(-2.0, abs=1e-12)
+    assert boundary_derivative(quad.m, "left") == pytest.approx(2.0, abs=1e-12)
 
 
 def test_boundary_derivative_sine_second_order():
@@ -65,7 +65,7 @@ def test_boundary_derivative_sine_second_order():
     for J in (50, 100):
         y = np.linspace(-1, 1, J + 1)
         st = _state(y, np.sin(0.5 * np.pi * (1.0 - y)), np.zeros(J + 1))
-        errs.append(abs(boundary_derivative(st, "right") + 0.5 * np.pi))
+        errs.append(abs(boundary_derivative(st.m, "right") + 0.5 * np.pi))
     assert errs[0] < 5e-3
     # halving dy should shrink the error by about 4
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
@@ -329,6 +329,27 @@ def test_extend_is_the_uninterrupted_run():
     assert (a.dt, a.accepted_run, a.state.t, a.state.geom) == (b.dt, b.accepted_run, b.state.t, b.state.geom)
     np.testing.assert_array_equal(a.state.m, b.state.m)
     np.testing.assert_array_equal(a.state.n, b.state.n)
+
+
+def test_extend_lands_on_output_times_as_the_uninterrupted_run():
+    # an output time 5e-10 after the first horizon lands on it, in either run
+    spec, init = _fig1c()
+    cfg = SolverConfig(J=32, dt_max=0.5, t_end=100.0, output_times=(100.0, 100.0 + 5e-10))
+    resumed = extend(spec, simulate(spec, init, cfg), replace(cfg, t_end=200.0))
+    whole = simulate(spec, init, replace(cfg, t_end=200.0))
+    assert [st.t for st in resumed.snapshots] == [st.t for st in whole.snapshots] == [100.0, 100.0]
+
+
+@pytest.mark.parametrize("config, rows, width", [
+    ("paper_fig1c.cfg", 747, 1.2565447536273744),
+    ("reference.cfg", 747, 47.5369298995635),
+])
+def test_simulate_run_is_pinned(config, rows, width):
+    # the benchmark's mustar-search solver settings; rel=1e-9 absorbs libm-versus-numpy trig ulps
+    run = load_config(FIG1C.parent / config)
+    traj = simulate(run.model_spec(), run.initial_data(), SolverConfig(J=64, dt_max=0.5, t_end=300.0))
+    assert len(traj.t) == rows
+    assert traj.width[-1] == pytest.approx(width, rel=1e-9)
 
 
 def test_march_reuses_spatial_terms_to_the_same_bits(monkeypatch):
