@@ -200,8 +200,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     ok = all(1.9 <= o <= 2.2 for o in sp[-1:]) and all(0.9 <= o <= 1.1 for o in tp[-1:])
 
     spec = cfg.model.with_h0(max(cfg.model.h0, 1.0))
-    scfg = replace(cfg.solver, t_end=10.0, dt0=0.02, dt_min=0.02, dt_max=0.02,
-                   J=200, output_times=(5.0, 10.0))
+    scfg = replace(cfg.solver, t_end=10.0, dt_min=0.02, dt_max=0.02, J=200,
+                   output_times=(5.0, 10.0))
     # an ordered pair within capacity: 8 % and 12 % of N1, 7.5 % and 11.25 % of N2
     base = InitialData(amp_U=0.08 * spec.N1, amp_V=1.5 * spec.N2 / 20.0)
     upper = InitialData(amp_U=0.12 * spec.N1, amp_V=2.25 * spec.N2 / 20.0)

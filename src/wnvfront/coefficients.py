@@ -9,9 +9,9 @@ which covers the trig-polynomial transmission/recovery/death rates used
 throughout, plus constants as a degenerate case.  All evaluation is
 vectorized over x and t.  The temporal factor and the spatial term are
 evaluated apart, so that on a fixed grid the spatial terms are computed once
-(``LinearizationMatrix.evaluator``).  Time shifts act exactly on the
-harmonic phases, so hull elements of these fields are reproduced without
-limits.
+(``rates``, which the solver step, the reactions and the estimator share).
+Time shifts act exactly on the harmonic phases, so hull elements of these
+fields are reproduced without limits.
 """
 
 from __future__ import annotations
@@ -144,6 +144,17 @@ def constant_field(value: float) -> CoefficientField:
     return CoefficientField(base=value)
 
 
+def rates(x, a1, a2, d1, d2):
+    """The map t -> (a1, a2, d1, d2) of the four fields at x; the spatial terms are computed once, here."""
+    s1, s2, s3, s4 = a1.spatial_term(x), a2.spatial_term(x), d1.spatial_term(x), d2.spatial_term(x)
+    t1, t2, t3, t4 = a1.temporal, a2.temporal, d1.temporal, d2.temporal
+
+    def at(t):
+        return t1(t) + s1, t2(t) + s2, t3(t) + s3, t4(t) + s4
+
+    return at
+
+
 @dataclass(frozen=True)
 class LinearizationMatrix:
     """The 2x2 matrix [[-d1, a1*N1], [a2*N2, -d2]] of coefficient fields."""
@@ -160,14 +171,13 @@ class LinearizationMatrix:
         return self.evaluator(x)(t)
 
     def evaluator(self, x):
-        """The map t -> entries(x, t); the spatial terms at x are computed once, here."""
-        fields = (self.d1, self.a1, self.a2, self.d2)
-        s11, s12, s21, s22 = (f.spatial_term(x) for f in fields)
-        d1, a1, a2, d2 = (f.temporal for f in fields)
+        """The map t -> entries(x, t); the spatial terms at x are computed once, by ``rates``."""
+        rate = rates(x, self.a1, self.a2, self.d1, self.d2)
         N1, N2 = self.N1, self.N2
 
         def at(t):
-            return -(d1(t) + s11), (a1(t) + s12) * N1, (a2(t) + s21) * N2, -(d2(t) + s22)
+            a1, a2, d1, d2 = rate(t)
+            return -d1, a1 * N1, a2 * N2, -d2
 
         return at
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import CoefficientField, LinearizationMatrix, TemporalHarmonic
+from .coefficients import CoefficientField, LinearizationMatrix, TemporalHarmonic, rates
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,7 @@ class ModelSpec:
 
     def reaction(self, x, t, U, V):
         """Reaction terms (dU, dV); vectorized over all arguments."""
-        a1 = self.a1.eval(x, t)
-        a2 = self.a2.eval(x, t)
-        d1 = self.d1.eval(x, t)
-        d2 = self.d2.eval(x, t)
+        a1, a2, d1, d2 = rates(x, self.a1, self.a2, self.d1, self.d2)(t)
         dU = a1 * (self.N1 - U) * V - d1 * U
         dV = a2 * (self.N2 - V) * U - d2 * V
         return dU, dV

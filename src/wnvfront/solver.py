@@ -17,20 +17,22 @@ splitting whose O(dt) error matches the time step's.
 
 A coefficient is its temporal factor plus its spatial term, and the
 spatial term depends on the step only through the fronts (g, h).  So
-``_march`` hands ``step`` one dict, ``terms``, that keeps the four spatial
-terms while (g, h) is unchanged, as on a vanishing run whose fronts have
-stalled, and the step evaluates only the temporal factors, at its float
-time.  A lone ``step`` starts from an empty dict and evaluates everything
-afresh, to the same bits.  A run ends with its state and step controller
-(``Trajectory.end``), from which ``extend`` continues it to a later
-horizon, bit for bit as if it had not stopped.
+``_march`` hands ``step`` one dict, ``terms``, that keeps the rate map of
+``coefficients.rates`` while (g, h) is unchanged, as on a vanishing run
+whose fronts have stalled, and the step evaluates only the temporal
+factors, at its float time.  A lone ``step`` starts from an empty dict and
+evaluates everything afresh, to the same bits.
+
+A march from t=0 starts at ``DT0`` held to [dt_min, dt_max].  A step is cut
+short to land on an output time or the horizon; a rejected step halves the
+step tried, and dt_min bounds only those halvings.  A run ends with its
+state and step controller (``Trajectory.end``), from which ``extend``
+continues it to a later horizon, bit for bit as if it had not stopped.
 
 The verification hooks are arguments of ``step`` and ``_march``, not
 settings: ``fronts`` prescribes the front motion t -> (g, h, gdot, hdot)
 in place of the Stefan rule, and ``sources`` adds source terms
-(y, t) -> (S_m, S_n) to the reactions at the interior nodes.  The
-solution is held to its admissible band unless sources are given, since
-a manufactured solution need not respect it.
+(y, t) -> (S_m, S_n) to the reactions at the interior nodes.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import get_lapack_funcs
 
+from .coefficients import rates
 from .model import InitialData, ModelSpec
 from .transform import FrontGeometry
 
@@ -58,6 +61,7 @@ UNDERSHOOT_TOL = 1e-10  # clip band for negative discretization noise
 OVERSHOOT_REL = 1e-8  # allowed relative excess above capacity
 BANDS = (2, 2)  # lower and upper bandwidths of banded_operator's matrix
 TIME_TOL = 1e-9  # a march time within this of an output time or the horizon has landed on it
+DT0 = 1e-3  # the first step of a march from t=0, held to [dt_min, dt_max]
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,6 @@ class FrontState:
 @dataclass(frozen=True)
 class SolverConfig:
     J: int = 400
-    dt0: float = 1e-3
     dt_min: float = 1e-8
     dt_max: float = 0.05
     t_end: float = 300.0
@@ -83,8 +86,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.J < 16:
             raise ValueError("J must be >= 16")
-        if not (0 < self.dt_min <= self.dt0 <= self.dt_max < np.inf):
-            raise ValueError("need 0 < dt_min <= dt0 <= dt_max, all finite")
+        if not (0 < self.dt_min <= self.dt_max < np.inf):
+            raise ValueError("need 0 < dt_min <= dt_max, both finite")
         if not 0 < self.t_end < np.inf:
             raise ValueError("t_end must be positive and finite")
         if not all(0 <= t < np.inf for t in self.output_times):
@@ -224,8 +227,8 @@ def step(
     """Advance one linearly implicit step of size dt; raises on failure (see module errors).
 
     ``fronts`` and ``sources`` are the verification hooks of the module docstring.
-    ``terms`` is ``_march``'s cache of the spatial terms, keyed on the fronts
-    (g, h) and refilled when they move; without it they are evaluated afresh.
+    ``terms`` is ``_march``'s cache of the rate map, keyed on the fronts (g, h)
+    and refilled when they move; without it the map is built afresh.
     """
     geom = state.geom
     y = state.y
@@ -236,18 +239,12 @@ def step(
     geom_c = FrontGeometry(*fronts(t1)) if fronts is not None else geom
     y_int = y[1:-1]
     Acoef, Bcoef = geom_c.metric_terms(y_int)
-    # each coefficient is eval(x, t1): its temporal factor plus its spatial term
     key = (geom_c.g, geom_c.h)
     terms = {} if terms is None else terms
-    if key not in terms:  # new fronts: the old terms are stale
-        x = geom_c.to_x(y_int)
+    if key not in terms:  # new fronts: the old spatial terms are stale
         terms.clear()
-        terms[key] = tuple(f.spatial_term(x) for f in (spec.a1, spec.a2, spec.d1, spec.d2))
-    s1, s2, s3, s4 = terms[key]
-    a1 = spec.a1.temporal(t1) + s1
-    a2 = spec.a2.temporal(t1) + s2
-    d1 = spec.d1.temporal(t1) + s3
-    d2 = spec.d2.temporal(t1) + s4
+        terms[key] = rates(geom_c.to_x(y_int), spec.a1, spec.a2, spec.d1, spec.d2)
+    a1, a2, d1, d2 = terms[key](t1)
     S1, S2 = sources(y_int, t1) if sources is not None else (0.0, 0.0)
 
     # linearly implicit Euler, backward Euler's first Newton iterate from the old
@@ -268,9 +265,8 @@ def step(
     n_new = np.zeros(J + 1)
     m_new[1:-1] = u[0::2]
     n_new[1:-1] = u[1::2]
-    if sources is None:
-        m_new = _apply_bounds(m_new, spec.N1, t1)
-        n_new = _apply_bounds(n_new, spec.N2, t1)
+    m_new = _apply_bounds(m_new, spec.N1, t1)
+    n_new = _apply_bounds(n_new, spec.N2, t1)
 
     if fronts is not None:
         geom_new = geom_c
@@ -314,8 +310,8 @@ def simulate(spec: ModelSpec, init: InitialData, cfg: SolverConfig) -> Trajector
     """Integrate from t=0 to cfg.t_end with adaptive step control.
 
     Each step is one linearly implicit Euler step.  A step that leaves the
-    admissible band is rejected and dt halves; dt grows by 1.2x after 5
-    consecutive acceptances.  The trajectory returned always reaches
+    admissible band is rejected and the step tried halves; dt grows by 1.2x
+    after 5 consecutive acceptances.  The trajectory returned always reaches
     cfg.t_end: a NonFiniteError, or a rejection that takes dt below
     cfg.dt_min (a BoundViolationError), raises instead.
     """
@@ -351,7 +347,7 @@ def _march(
     dt: Optional[float] = None,
     accepted_run: int = 0,
 ) -> Trajectory:
-    """March ``state`` to cfg.t_end; ``dt`` (cfg.dt0 if None) and ``accepted_run`` set the controller."""
+    """March ``state`` to cfg.t_end; ``dt`` (if None, DT0 in [dt_min, dt_max]) and ``accepted_run`` set the controller."""
     out_times = sorted(t for t in cfg.output_times if t <= cfg.t_end + TIME_TOL)
     snapshots: List[FrontState] = []
     rows = []  # one (t, g, h, gdot, hdot, sup_m, sup_n) per accepted state, as in Trajectory
@@ -368,18 +364,17 @@ def _march(
         pending.pop(0)
 
     if dt is None:
-        dt = cfg.dt0
-    terms = {}  # step's cache of the spatial terms while the fronts stand still
+        dt = min(max(DT0, cfg.dt_min), cfg.dt_max)
+    terms = {}  # step's cache of the rate map while the fronts stand still
     while state.t < cfg.t_end - TIME_TOL:
         dt_try = min(dt, cfg.t_end - state.t)
         if pending:
             dt_try = min(dt_try, pending[0] - state.t)
-        dt_try = max(dt_try, cfg.dt_min)
         try:
             new_state = step(spec, state, dt_try, fronts, sources, terms)
         except BoundViolationError as e:
             accepted_run = 0
-            dt *= 0.5
+            dt = 0.5 * dt_try
             if dt < cfg.dt_min:
                 raise type(e)(f"{e}; the step size reached dt_min={cfg.dt_min:g}") from None
             continue

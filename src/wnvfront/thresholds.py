@@ -10,7 +10,7 @@ densities.  Anything else is Undetermined, a first-class outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -100,11 +100,9 @@ class LStarConfig:
     # cheaper than a lone estimate's defaults; find-lstar runs it at the [lyapunov] tol
     estimator: EstimatorConfig = EstimatorConfig(J=128, dt=0.02, horizon=400.0)
     shifts: Tuple[float, ...] = DEFAULT_SHIFTS
-    bracket_tol: float = 1e-2
+    bracket_tol: ClassVar[float] = 1e-2
 
     def __post_init__(self):
-        if not self.bracket_tol > 0:
-            raise ValueError("bracket_tol must be positive")
         if not (self.shifts and np.all(np.isfinite(self.shifts))):
             raise ValueError(f"shifts must be finite and at least one, got {self.shifts}")
 
@@ -149,11 +147,9 @@ MAX_HORIZON_FACTOR = 8
 class MuStarConfig:
     solver: SolverConfig = SolverConfig()
     L_star: float = 1.0
-    rel_tol: float = 1e-2
+    rel_tol: ClassVar[float] = 1e-2  # the final bracket's width, relative to mu_hi
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
         checked_L_star(self.L_star)
 
 

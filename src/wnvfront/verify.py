@@ -20,6 +20,12 @@ from .transform import FrontGeometry
 
 ORDER_TOL = 1e-8  # how far below zero a comparison margin may read and still pass
 
+# The manufactured study's refinement levels and horizon
+SPATIAL_J = (24, 48, 96)
+TEMPORAL_DT = (0.04, 0.02, 0.01)
+J_FINE = 256  # the fixed grid of the temporal study
+T_END = 0.5
+
 
 def _manufactured_spec() -> ModelSpec:
     """Constant-coefficient model used as the carrier for manufactured runs."""
@@ -73,14 +79,7 @@ def _manufactured_sources(spec: ModelSpec):
 def _run_manufactured(J: int, dt: float, t_end: float) -> float:
     """Sup-norm error of the numerical solution against the exact one at t_end."""
     spec = _manufactured_spec()
-    cfg = SolverConfig(
-        J=J,
-        dt0=dt,
-        dt_min=dt,
-        dt_max=dt,
-        t_end=t_end,
-        output_times=(t_end,),
-    )
+    cfg = SolverConfig(J=J, dt_min=dt, dt_max=dt, t_end=t_end, output_times=(t_end,))
     y = np.linspace(-1.0, 1.0, J + 1)
     g, h, gd, hd = _fronts(0.0)
     state0 = FrontState(0.0, y, _exact(y, 0.0), _exact(y, 0.0), FrontGeometry(g, h, gd, hd))
@@ -93,42 +92,36 @@ def _run_manufactured(J: int, dt: float, t_end: float) -> float:
     )
 
 
-def manufactured_convergence(
-    spatial_J: Sequence[int] = (24, 48, 96),
-    temporal_dt: Sequence[float] = (0.04, 0.02, 0.01),
-    t_end: float = 0.5,
-) -> List[Dict[str, float]]:
-    """Convergence table on the manufactured solution with prescribed fronts.
+def manufactured_convergence() -> List[Dict[str, float]]:
+    """Convergence table on the manufactured solution with prescribed fronts, at T_END.
 
-    Spatial study refines J with dt proportional to dy^2 so the O(dt)
-    time error tracks the O(dy^2) space error; temporal study halves dt
-    on a fixed fine grid.  Rows carry observed orders between levels.
+    Spatial study refines J over SPATIAL_J with dt proportional to dy^2 so
+    the O(dt) time error tracks the O(dy^2) space error; temporal study
+    halves dt over TEMPORAL_DT on the fixed grid J_FINE.  Rows carry
+    observed orders between levels.
     """
-    if len(spatial_J) < 3 or len(temporal_dt) < 3:
-        raise ValueError("need at least 3 refinement levels per study")
     rows: List[Dict[str, float]] = []
 
     errs = []
-    for J in spatial_J:
+    for J in SPATIAL_J:
         dy = 2.0 / J
         dt = 0.2 * dy * dy
-        err = _run_manufactured(J, dt, t_end)
+        err = _run_manufactured(J, dt, T_END)
         errs.append(err)
         order = np.nan
         if len(errs) > 1:
-            order = np.log2(errs[-2] / errs[-1]) / np.log2(J / spatial_J[len(errs) - 2])
+            order = np.log2(errs[-2] / errs[-1]) / np.log2(J / SPATIAL_J[len(errs) - 2])
         rows.append({"study": "spatial", "J": J, "dt": dt, "error": err, "order": order})
 
-    J_fine = 256
     errs = []
-    for dt in temporal_dt:
-        err = _run_manufactured(J_fine, dt, t_end)
+    for dt in TEMPORAL_DT:
+        err = _run_manufactured(J_FINE, dt, T_END)
         errs.append(err)
         order = np.nan
         if len(errs) > 1:
-            r = temporal_dt[len(errs) - 2] / dt
+            r = TEMPORAL_DT[len(errs) - 2] / dt
             order = np.log(errs[-2] / errs[-1]) / np.log(r)
-        rows.append({"study": "temporal", "J": J_fine, "dt": dt, "error": err, "order": order})
+        rows.append({"study": "temporal", "J": J_FINE, "dt": dt, "error": err, "order": order})
     return rows
 
 

@@ -24,7 +24,7 @@ def ref_spec():
 @pytest.fixture(scope="session")
 def fast_solver():
     """Fixed-dt config cheap enough for unit tests."""
-    return SolverConfig(J=120, dt0=0.02, dt_min=0.02, dt_max=0.02, t_end=10.0,
+    return SolverConfig(J=120, dt_min=0.02, dt_max=0.02, t_end=10.0,
                         output_times=(5.0, 10.0))
 
 

@@ -156,7 +156,7 @@ def test_criterion_04_monotonicity(ref_spec):
                          LStarConfig().estimator)
     sweep_ok = sweep.violations == []
 
-    cfg = SolverConfig(J=200, dt0=0.02, dt_min=0.02, dt_max=0.02, t_end=30.0)
+    cfg = SolverConfig(J=200, dt_min=0.02, dt_max=0.02, t_end=30.0)
     hs, gs = [], []
     for mu in (0.05, 0.1, 0.2):
         traj = w.simulate(ref_spec.with_mu(mu), InitialData(), cfg)
@@ -191,7 +191,7 @@ def test_criterion_05_bounds_and_front_signs(ref_spec, regime_runs):
 
 
 def test_criterion_06_comparison_principle(ref_spec):
-    cfg = SolverConfig(J=200, dt0=0.02, dt_min=0.02, dt_max=0.02, t_end=50.0,
+    cfg = SolverConfig(J=200, dt_min=0.02, dt_max=0.02, t_end=50.0,
                        output_times=(10.0, 25.0, 50.0))
     lo = InitialData(amp_U=0.1, amp_V=2.0)
     hi = InitialData(amp_U=0.15, amp_V=3.0)
@@ -203,7 +203,7 @@ def test_criterion_06_comparison_principle(ref_spec):
 
 def test_criterion_07_convergence_orders():
     t0 = time.time()
-    rows = manufactured_convergence(spatial_J=(24, 48, 96), temporal_dt=(0.04, 0.02, 0.01))
+    rows = manufactured_convergence()
     runtime = time.time() - t0
     sp = observed_orders(rows, "spatial")[-1]
     tp = observed_orders(rows, "temporal")[-1]

@@ -16,7 +16,6 @@ from wnvfront.thresholds import NotConvergedError, ProbeRecord
 FAST_CFG = """
 [solver]
 J = 80
-dt0 = 0.02
 dt_min = 0.02
 dt_max = 0.02
 t_end = 3.0
@@ -89,7 +88,7 @@ def test_simulate_deterministic_outputs(fast_cfg, tmp_path):
 def test_failed_simulate_is_exit_2_and_writes_nothing(tmp_path, capsys):
     # a fixed step of 20 undershoots the clip band at once and cannot be halved
     cfg = tmp_path / "dt20.cfg"
-    cfg.write_text("[solver]\nJ = 64\ndt0 = 20\ndt_min = 20\ndt_max = 20\n", encoding="utf-8")
+    cfg.write_text("[solver]\nJ = 64\ndt_min = 20\ndt_max = 20\n", encoding="utf-8")
     out = tmp_path / "o"
     assert cli_main(["--config", str(cfg), "--out", str(out), "simulate"]) == EXIT_NUMERICAL
     captured = capsys.readouterr()

@@ -208,9 +208,9 @@ def _configs(draw):
     )
     init = replace(cfg.init, amp_U=draw(_fractions) * model.N1 + 1e-6 * model.N1,
                    amp_V=draw(_fractions) * model.N2 + 1e-6 * model.N2)
-    dts = sorted(draw(st.lists(st.floats(1e-8, 1.0), min_size=3, max_size=3)))
+    dts = sorted(draw(st.lists(st.floats(1e-8, 1.0), min_size=2, max_size=2)))
     solver = replace(
-        cfg.solver, J=draw(st.integers(16, 4000)), dt_min=dts[0], dt0=dts[1], dt_max=dts[2],
+        cfg.solver, J=draw(st.integers(16, 4000)), dt_min=dts[0], dt_max=dts[1],
         t_end=draw(_floats), output_times=draw(_times),
     )
     dt, horizon = sorted(draw(st.lists(_floats, min_size=2, max_size=2)))

@@ -28,7 +28,7 @@ def read_csv(path):
 
 @pytest.fixture(scope="module")
 def short_traj(ref_spec):
-    cfg = SolverConfig(J=100, dt0=0.02, dt_min=0.02, dt_max=0.02, t_end=5.0,
+    cfg = SolverConfig(J=100, dt_min=0.02, dt_max=0.02, t_end=5.0,
                        output_times=(2.0, 5.0))
     return w.simulate(ref_spec, w.InitialData(), cfg)
 
@@ -65,7 +65,7 @@ def test_snapshot_names_do_not_collide(ref_spec, short_traj, tmp_path):
     paths = write_trajectory_csv(short_traj, tmp_path / "ok")
     assert [p.name for p in paths[1:]] == ["snapshot_2.csv", "snapshot_5.csv"]
     # 1.0000001 and 1.0000004 both print as 1: two snapshots, one file name
-    cfg = SolverConfig(J=100, dt0=0.02, dt_min=1e-8, dt_max=0.02, t_end=1.1,
+    cfg = SolverConfig(J=100, dt_min=1e-8, dt_max=0.02, t_end=1.1,
                        output_times=(1.0000001, 1.0000004))
     traj = w.simulate(ref_spec, w.InitialData(), cfg)
     assert len(traj.snapshots) == 2

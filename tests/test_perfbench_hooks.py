@@ -47,9 +47,9 @@ def test_every_benchmark_hook_is_installed_and_runs():
         thresholds.find_L_star(const, (1.0, 1.0), (0.5, 10.0), lcfg)
         spec = ModelSpec(mu=0.1, h0=0.6)
         thresholds.simulate(spec, InitialData(), SolverConfig(J=16, t_end=0.5))
-        scfg = SolverConfig(J=16, dt0=0.5, dt_min=0.5, dt_max=0.5, t_end=50.0)
+        scfg = SolverConfig(J=16, dt_min=0.5, dt_max=0.5, t_end=50.0)
         thresholds.find_mu_star(spec, InitialData(), (0.1, 3.0),
-                                MuStarConfig(solver=scfg, L_star=1.2703, rel_tol=0.5))
+                                MuStarConfig(solver=scfg, L_star=1.2703))
         metrics = tracer.metrics(rounds=1)
     finally:
         tracer.uninstall()

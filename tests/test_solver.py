@@ -12,6 +12,7 @@ from wnvfront.coefficients import CoefficientField, constant_field
 from wnvfront.model import InitialData, ModelSpec
 from wnvfront.solver import (
     BANDS,
+    TIME_TOL,
     FrontState,
     NonFiniteError,
     SolverConfig,
@@ -82,7 +83,7 @@ def test_pure_decay_matches_separated_mode():
         mu=0.1, h0=1.0,
     )
     J, dt = 200, 1e-3
-    cfg = SolverConfig(J=J, dt0=dt, dt_min=dt, dt_max=dt, t_end=1.0, output_times=(1.0,))
+    cfg = SolverConfig(J=J, dt_min=dt, dt_max=dt, t_end=1.0, output_times=(1.0,))
     y = np.linspace(-1, 1, J + 1)
     m0 = 0.5 * np.cos(0.5 * np.pi * y)
     traj = _march(spec, _state(y, m0.copy(), m0.copy()), cfg, fronts=_frozen_fronts)
@@ -220,7 +221,7 @@ def test_symmetry_preserved_with_frozen_fronts():
         mu=0.1, h0=1.0,
     )
     J = 80
-    cfg = SolverConfig(J=J, dt0=0.01, dt_min=0.01, dt_max=0.01, t_end=2.0, output_times=(2.0,))
+    cfg = SolverConfig(J=J, dt_min=0.01, dt_max=0.01, t_end=2.0, output_times=(2.0,))
     y = np.linspace(-1, 1, J + 1)
     m0 = 0.3 * np.cos(0.5 * np.pi * y)
     n0 = 0.8 * np.cos(0.5 * np.pi * y)
@@ -260,7 +261,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(J=4, t_end=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(dt0=1e-9, dt_min=1e-3, t_end=1.0)
+        SolverConfig(dt_min=1e-3, dt_max=1e-4, t_end=1.0)
     for t_end in (0.0, -5.0, float("nan")):
         with pytest.raises(ValueError):
             SolverConfig(t_end=t_end)
@@ -282,7 +283,7 @@ def _front_identity_gap(J, dt, t_end=40.0):
     so the front motion and the interior solution must agree through it.
     """
     spec = ModelSpec(mu=0.2, h0=0.6)
-    cfg = SolverConfig(J=J, dt0=dt, dt_min=dt, dt_max=dt, t_end=t_end)
+    cfg = SolverConfig(J=J, dt_min=dt, dt_max=dt, t_end=t_end)
     st = initial_state(spec, InitialData(), cfg)
     dy = 2.0 / J
 
@@ -338,6 +339,42 @@ def test_extend_lands_on_output_times_as_the_uninterrupted_run():
     resumed = extend(spec, simulate(spec, init, cfg), replace(cfg, t_end=200.0))
     whole = simulate(spec, init, replace(cfg, t_end=200.0))
     assert [st.t for st in resumed.snapshots] == [st.t for st in whole.snapshots] == [100.0, 100.0]
+
+
+def test_output_time_closer_than_dt_min_is_not_overshot():
+    # the second output time is 5e-9 after the first, less than dt_min = 1e-8
+    spec, init = _fig1c()
+    cfg = SolverConfig(J=32, dt_max=0.5, t_end=60.0, output_times=(50.0, 50.0 + 5e-9))
+    traj = simulate(spec, init, cfg)
+    assert [st.t for st in traj.snapshots] == pytest.approx([50.0, 50.0 + 5e-9], abs=TIME_TOL)
+
+
+def test_fixed_step_run_lands_on_its_horizon():
+    # the manufactured study's coarsest temporal level: 0.5 is no multiple of 0.04
+    spec, init = _fig1c()
+    traj = simulate(spec, init, SolverConfig(J=32, dt_min=0.04, dt_max=0.04, t_end=0.5))
+    assert traj.t[-1] == pytest.approx(0.5, abs=TIME_TOL)
+    assert traj.t[-1] - traj.t[-2] == pytest.approx(0.02)
+
+
+def test_rejected_step_halves_the_step_tried(monkeypatch):
+    # steps longer than 0.003 that land on the output time 0.91 are rejected;
+    # the step that lands there from t=0.9 is cut short to 0.01 < dt = 0.05
+    spec, init = _fig1c()
+    cfg = SolverConfig(J=64, dt_min=1e-3, dt_max=0.05, t_end=1.2, output_times=(0.91,))
+    tried, march_step = [], solver.step
+
+    def rejecting(spec, state, dt, *args):
+        tried.append((state.t, dt))
+        if dt > 0.003 and abs(state.t + dt - 0.91) < TIME_TOL:
+            raise solver.BoundViolationError("rejected")
+        return march_step(spec, state, dt, *args)
+
+    monkeypatch.setattr(solver, "step", rejecting)
+    traj = _march(spec, initial_state(spec, init, cfg), cfg, dt=0.05)
+    assert len(set(tried)) == len(tried)
+    assert [st.t for st in traj.snapshots] == pytest.approx([0.91], abs=TIME_TOL)
+    assert traj.t[-1] == pytest.approx(1.2, abs=TIME_TOL)
 
 
 @pytest.mark.parametrize("config, rows, width", [

@@ -193,7 +193,7 @@ def test_find_mustar_bisection_with_stub(monkeypatch, ref_spec):
     monkeypatch.setattr(th, "simulate", stub.simulate)
     monkeypatch.setattr(th, "classify", stub.classify)
     mu_star, iters, transcript = find_mu_star(
-        ref_spec, None, (0.1, 0.2), MuStarConfig(rel_tol=1e-2)
+        ref_spec, None, (0.1, 0.2), MuStarConfig()
     )
     assert mu_star == pytest.approx(0.147, abs=0.2 * 1e-2 + 5e-4)
     assert iters >= 1
@@ -211,16 +211,16 @@ def test_find_mustar_degenerate_bracket(monkeypatch, ref_spec):
 
 
 def test_find_mustar_raises_at_iteration_cap(monkeypatch, ref_spec):
-    # a tolerance of 2e-16 on mu needs more halvings of 0.1 than the cap allows
+    # the tolerance 2e-3 on mu needs more halvings of 0.1 than a cap of 3 allows
     stub = _MuProbeStub(mu_star=0.147)
     monkeypatch.setattr(th, "simulate", stub.simulate)
     monkeypatch.setattr(th, "classify", stub.classify)
+    monkeypatch.setattr(th, "MAX_ITER", 3)
     with pytest.raises(th.NotConvergedError):
-        find_mu_star(ref_spec, None, (0.1, 0.2), MuStarConfig(rel_tol=1e-15))
+        find_mu_star(ref_spec, None, (0.1, 0.2), MuStarConfig())
 
 
 @pytest.mark.parametrize("build", [
-    lambda: MuStarConfig(rel_tol=0.0), lambda: LStarConfig(bracket_tol=0.0),
     lambda: LStarConfig(shifts=(np.nan,)), lambda: LStarConfig(shifts=()),
 ])
 def test_search_tolerances_must_be_positive(build):

@@ -22,7 +22,7 @@ def test_exact_solution_dirichlet_compatible():
 
 
 def test_manufactured_convergence_orders():
-    rows = manufactured_convergence(spatial_J=(24, 48, 96), temporal_dt=(0.04, 0.02, 0.01))
+    rows = manufactured_convergence()
     sp = observed_orders(rows, "spatial")
     tp = observed_orders(rows, "temporal")
     assert 1.9 <= sp[-1] <= 2.2
@@ -31,11 +31,6 @@ def test_manufactured_convergence_orders():
     for study in ("spatial", "temporal"):
         errs = [r["error"] for r in rows if r["study"] == study]
         assert all(b < a for a, b in zip(errs, errs[1:]))
-
-
-def test_manufactured_convergence_needs_three_levels():
-    with pytest.raises(ValueError):
-        manufactured_convergence(spatial_J=(24, 48), temporal_dt=(0.04, 0.02, 0.01))
 
 
 def test_comparison_identical_pair(ref_spec, fast_solver):
@@ -58,7 +53,7 @@ def test_comparison_ordered_pair(ref_spec, fast_solver):
 
 def test_comparison_of_failed_runs_raises(ref_spec):
     # a fixed step of 20 undershoots the clip band at once: neither run gets past t=0
-    cfg = SolverConfig(J=64, dt0=20.0, dt_min=20.0, dt_max=20.0, t_end=200.0,
+    cfg = SolverConfig(J=64, dt_min=20.0, dt_max=20.0, t_end=200.0,
                        output_times=(0.0, 100.0, 200.0))
     lo = InitialData(amp_U=0.08, amp_V=1.5)
     hi = InitialData(amp_U=0.12, amp_V=2.25)
@@ -66,7 +61,7 @@ def test_comparison_of_failed_runs_raises(ref_spec):
         comparison_suite(ref_spec, lo, hi, cfg)
 
 
-_ORDERED_SOLVER = SolverConfig(J=48, dt0=0.05, dt_min=0.05, dt_max=0.05, t_end=5.0,
+_ORDERED_SOLVER = SolverConfig(J=48, dt_min=0.05, dt_max=0.05, t_end=5.0,
                                output_times=(2.5, 5.0))
 
 
