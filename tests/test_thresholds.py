@@ -221,6 +221,10 @@ def test_find_mustar_raises_at_iteration_cap(monkeypatch, ref_spec):
 
 
 @pytest.mark.parametrize("build", [
+    # both tolerances are class constants now; the searches still take the
+    # estimator's tol and the L* that mu* probes are classified against
+    lambda: LStarConfig(estimator=EstimatorConfig(tol=0.0)),
+    lambda: MuStarConfig(L_star=0.0),
     lambda: LStarConfig(shifts=(np.nan,)), lambda: LStarConfig(shifts=()),
 ])
 def test_search_tolerances_must_be_positive(build):
