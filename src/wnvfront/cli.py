@@ -30,7 +30,7 @@ from .thresholds import (
     find_mu_star,
     transcript_monotone,
 )
-from .verify import comparison_suite, manufactured_convergence, observed_orders
+from .verify import ORDER_BANDS, comparison_suite, manufactured_convergence, observed_orders
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -195,9 +195,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     for r in rows:
         print(f"{r['study']:>8}  J={r['J']:<4d} dt={r['dt']:.2e} "
               f"error={r['error']:.3e} order={r['order']:.3f}")
-    sp = observed_orders(rows, "spatial")
-    tp = observed_orders(rows, "temporal")
-    ok = all(1.9 <= o <= 2.2 for o in sp[-1:]) and all(0.9 <= o <= 1.1 for o in tp[-1:])
+    ok = all(lo <= observed_orders(rows, study)[-1] <= hi for study, (lo, hi) in ORDER_BANDS.items())
 
     spec = cfg.model.with_h0(max(cfg.model.h0, 1.0))
     scfg = replace(cfg.solver, t_end=10.0, dt_min=0.02, dt_max=0.02, J=200,

@@ -129,17 +129,10 @@ def svg_line_chart(
 
 
 def _downsample(M: np.ndarray) -> np.ndarray:
-    """Block-average rows/columns down to at most HEATMAP_CELLS each."""
+    """Average each axis longer than HEATMAP_CELLS over that many near-equal blocks, dropping none."""
     for axis in (0, 1):
-        n = M.shape[axis]
-        if n > HEATMAP_CELLS:
-            factor = int(np.ceil(n / HEATMAP_CELLS))
-            trim = (n // factor) * factor
-            M = np.take(M, range(trim), axis=axis)
-            shape = list(M.shape)
-            shape[axis] = trim // factor
-            shape.insert(axis + 1, factor)
-            M = M.reshape(shape).mean(axis=axis + 1)
+        if M.shape[axis] > HEATMAP_CELLS:
+            M = np.stack([b.mean(axis=axis) for b in np.array_split(M, HEATMAP_CELLS, axis=axis)], axis=axis)
     return M
 
 

@@ -23,10 +23,11 @@ whose fronts have stalled, and the step evaluates only the temporal
 factors, at its float time.  A lone ``step`` starts from an empty dict and
 evaluates everything afresh, to the same bits.
 
-A march from t=0 starts at ``DT0`` held to [dt_min, dt_max].  A step is cut
-short to land on an output time or the horizon; a rejected step halves the
-step tried, and dt_min bounds only those halvings.  A run ends with its
-state and step controller (``Trajectory.end``), from which ``extend``
+Every march starts from a ``Checkpoint``, a state and its step controller;
+``simulate`` makes the first one, at ``DT0`` held to [dt_min, dt_max].  A
+step is cut short to land on an output time or the horizon; a rejected step
+halves the step tried, and dt_min bounds only those halvings.  A run ends
+with the checkpoint it stopped at (``Trajectory.end``), from which ``extend``
 continues it to a later horizon, bit for bit as if it had not stopped.
 
 The verification hooks are arguments of ``step`` and ``_march``, not
@@ -97,11 +98,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Where a march stopped: its last state and its step controller, for ``extend``."""
+    """Where a march starts or stops: a state and its step controller."""
 
     state: FrontState
     dt: float  # the step size the controller tries next
-    accepted_run: int  # consecutive acceptances since dt last grew or halved
+    accepted_run: int = 0  # consecutive acceptances since dt last grew or halved
 
 
 @dataclass
@@ -316,23 +317,22 @@ def simulate(spec: ModelSpec, init: InitialData, cfg: SolverConfig) -> Trajector
     cfg.dt_min (a BoundViolationError), raises instead.
     """
     state = initial_state(spec, init, cfg)
-    return _march(spec, state, cfg)
+    return _march(spec, Checkpoint(state, min(max(DT0, cfg.dt_min), cfg.dt_max)), cfg)
 
 
 def extend(spec: ModelSpec, traj: Trajectory, cfg: SolverConfig) -> Trajectory:
     """A run ``traj`` of ``simulate`` or ``extend``, continued to the later cfg.t_end.
 
-    It continues from traj's end state and step controller (``traj.end``);
-    ``cfg`` is the run's config with a later horizon T2.  The rows and
-    snapshots of the continuation are joined to traj's, without a second row
-    at traj's end time T.  The result is bit for bit the run ``simulate``
-    makes to T2 with T among its output times, so each time unit is
-    integrated once.
+    It marches from the checkpoint traj stopped at (``traj.end``); ``cfg`` is
+    the run's config with a later horizon T2, and only its output times after
+    traj's end time T are landed.  The rows and snapshots of the continuation
+    are joined to traj's, without a second row at T.  The result is bit for
+    bit the run ``simulate`` makes to T2 with T among its output times, so
+    each time unit is integrated once.
     """
     end = traj.end
     later = tuple(t for t in cfg.output_times if t > end.state.t + TIME_TOL)
-    more = _march(spec, end.state, replace(cfg, output_times=later), dt=end.dt,
-                  accepted_run=end.accepted_run)
+    more = _march(spec, end, replace(cfg, output_times=later))
     rows = {c: np.concatenate((getattr(traj, c), getattr(more, c)[1:]))
             for c in ("t", "g", "h", "gdot", "hdot", "sup_m", "sup_n")}
     return Trajectory(**rows, snapshots=traj.snapshots + more.snapshots, end=more.end)
@@ -340,31 +340,26 @@ def extend(spec: ModelSpec, traj: Trajectory, cfg: SolverConfig) -> Trajectory:
 
 def _march(
     spec: ModelSpec,
-    state: FrontState,
+    start: Checkpoint,
     cfg: SolverConfig,
     fronts: Optional[Callable] = None,
     sources: Optional[Callable] = None,
-    dt: Optional[float] = None,
-    accepted_run: int = 0,
 ) -> Trajectory:
-    """March ``state`` to cfg.t_end; ``dt`` (if None, DT0 in [dt_min, dt_max]) and ``accepted_run`` set the controller."""
-    out_times = sorted(t for t in cfg.output_times if t <= cfg.t_end + TIME_TOL)
+    """March ``start`` to cfg.t_end; the start state and each accepted one land the output times reached."""
+    pending = sorted(t for t in cfg.output_times if t <= cfg.t_end + TIME_TOL)
     snapshots: List[FrontState] = []
     rows = []  # one (t, g, h, gdot, hdot, sup_m, sup_n) per accepted state, as in Trajectory
 
-    def record(st: FrontState):
+    def accept(st: FrontState):
         geom = st.geom
         rows.append((st.t, geom.g, geom.h, geom.gdot, geom.hdot,
                      float(st.m.max()), float(st.n.max())))
+        while pending and pending[0] <= st.t + TIME_TOL:
+            snapshots.append(st)
+            pending.pop(0)
 
-    record(state)
-    pending = list(out_times)
-    while pending and pending[0] <= state.t + TIME_TOL:
-        snapshots.append(state)
-        pending.pop(0)
-
-    if dt is None:
-        dt = min(max(DT0, cfg.dt_min), cfg.dt_max)
+    state, dt, accepted_run = start.state, start.dt, start.accepted_run
+    accept(state)
     terms = {}  # step's cache of the rate map while the fronts stand still
     while state.t < cfg.t_end - TIME_TOL:
         dt_try = min(dt, cfg.t_end - state.t)
@@ -379,10 +374,7 @@ def _march(
                 raise type(e)(f"{e}; the step size reached dt_min={cfg.dt_min:g}") from None
             continue
         state = new_state
-        record(state)
-        while pending and state.t >= pending[0] - TIME_TOL:
-            snapshots.append(state)
-            pending.pop(0)
+        accept(state)
         accepted_run += 1
         if accepted_run >= 5:
             dt = min(dt * 1.2, cfg.dt_max)

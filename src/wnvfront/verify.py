@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 
 from .coefficients import constant_field
 from .model import InitialData, ModelSpec
-from .solver import FrontState, SolverConfig, Trajectory, simulate, _march
+from .solver import Checkpoint, FrontState, SolverConfig, Trajectory, simulate, _march
 from .transform import FrontGeometry
 
 ORDER_TOL = 1e-8  # how far below zero a comparison margin may read and still pass
@@ -25,6 +25,7 @@ SPATIAL_J = (24, 48, 96)
 TEMPORAL_DT = (0.04, 0.02, 0.01)
 J_FINE = 256  # the fixed grid of the temporal study
 T_END = 0.5
+ORDER_BANDS = {"spatial": (1.9, 2.2), "temporal": (0.9, 1.1)}  # where each study's last order must lie
 
 
 def _manufactured_spec() -> ModelSpec:
@@ -83,7 +84,7 @@ def _run_manufactured(J: int, dt: float, t_end: float) -> float:
     y = np.linspace(-1.0, 1.0, J + 1)
     g, h, gd, hd = _fronts(0.0)
     state0 = FrontState(0.0, y, _exact(y, 0.0), _exact(y, 0.0), FrontGeometry(g, h, gd, hd))
-    traj = _march(spec, state0, cfg, fronts=_fronts, sources=_manufactured_sources(spec))
+    traj = _march(spec, Checkpoint(state0, dt), cfg, fronts=_fronts, sources=_manufactured_sources(spec))
     final = traj.snapshots[-1]
     exact = _exact(y, final.t)
     return max(
@@ -97,31 +98,22 @@ def manufactured_convergence() -> List[Dict[str, float]]:
 
     Spatial study refines J over SPATIAL_J with dt proportional to dy^2 so
     the O(dt) time error tracks the O(dy^2) space error; temporal study
-    halves dt over TEMPORAL_DT on the fixed grid J_FINE.  Rows carry
-    observed orders between levels.
+    halves dt over TEMPORAL_DT on the fixed grid J_FINE.  Each level after a
+    study's first carries its observed order, the log of the error ratio
+    over the log of the refinement ratio (of dy spatially, of dt temporally).
     """
+    studies = {  # (J, dt, the mesh size refined) per level
+        "spatial": [(J, 0.2 * (2.0 / J) * (2.0 / J), 2.0 / J) for J in SPATIAL_J],
+        "temporal": [(J_FINE, dt, dt) for dt in TEMPORAL_DT],
+    }
     rows: List[Dict[str, float]] = []
-
-    errs = []
-    for J in SPATIAL_J:
-        dy = 2.0 / J
-        dt = 0.2 * dy * dy
-        err = _run_manufactured(J, dt, T_END)
-        errs.append(err)
-        order = np.nan
-        if len(errs) > 1:
-            order = np.log2(errs[-2] / errs[-1]) / np.log2(J / SPATIAL_J[len(errs) - 2])
-        rows.append({"study": "spatial", "J": J, "dt": dt, "error": err, "order": order})
-
-    errs = []
-    for dt in TEMPORAL_DT:
-        err = _run_manufactured(J_FINE, dt, T_END)
-        errs.append(err)
-        order = np.nan
-        if len(errs) > 1:
-            r = TEMPORAL_DT[len(errs) - 2] / dt
-            order = np.log(errs[-2] / errs[-1]) / np.log(r)
-        rows.append({"study": "temporal", "J": J_FINE, "dt": dt, "error": err, "order": order})
+    for study, levels in studies.items():
+        prev = None
+        for J, dt, size in levels:
+            err = _run_manufactured(J, dt, T_END)
+            order = np.nan if prev is None else np.log(prev[0] / err) / np.log(prev[1] / size)
+            rows.append({"study": study, "J": J, "dt": dt, "error": err, "order": order})
+            prev = err, size
     return rows
 
 

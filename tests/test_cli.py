@@ -217,7 +217,9 @@ def test_invalid_command_input_is_usage_error(tmp_path):
 
 def test_verify_comparison_data_within_capacity(tmp_path, monkeypatch):
     seen = []
-    monkeypatch.setattr(cli, "manufactured_convergence", lambda: [])
+    passing = [{"study": study, "J": 24, "dt": 0.01, "error": 1e-3, "order": order}
+               for study, order in (("spatial", 2.0), ("temporal", 1.0))]
+    monkeypatch.setattr(cli, "manufactured_convergence", lambda: passing)
     monkeypatch.setattr(cli, "comparison_suite",
                         lambda spec, lo, hi, *a, **k: seen.append((spec, lo, hi))
                         or {"passed": True})

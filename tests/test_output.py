@@ -117,8 +117,16 @@ def test_downsample_caps_size():
     M = np.random.default_rng(0).random((900, 700))
     out = _downsample(M)
     assert out.shape[0] <= 300 and out.shape[1] <= 300
-    # block averaging preserves the mean of the trimmed block
+    # averaging near-equal blocks keeps the mean
     assert abs(np.mean(out) - np.mean(M)) < 0.01
+
+
+def test_downsample_keeps_the_last_row():
+    # 301 snapshots: the last one, the run's final state, is still drawn
+    M = np.arange(301.0)[:, None] * np.ones((1, 3))
+    out = _downsample(M)
+    assert out.shape == (300, 3)
+    np.testing.assert_array_equal(out[-1], M[-1])
 
 
 def test_trajectory_plots_written(short_traj, tmp_path):

@@ -13,6 +13,7 @@ from wnvfront.model import InitialData, ModelSpec
 from wnvfront.solver import (
     BANDS,
     TIME_TOL,
+    Checkpoint,
     FrontState,
     NonFiniteError,
     SolverConfig,
@@ -86,7 +87,7 @@ def test_pure_decay_matches_separated_mode():
     cfg = SolverConfig(J=J, dt_min=dt, dt_max=dt, t_end=1.0, output_times=(1.0,))
     y = np.linspace(-1, 1, J + 1)
     m0 = 0.5 * np.cos(0.5 * np.pi * y)
-    traj = _march(spec, _state(y, m0.copy(), m0.copy()), cfg, fronts=_frozen_fronts)
+    traj = _march(spec, Checkpoint(_state(y, m0.copy(), m0.copy()), dt), cfg, fronts=_frozen_fronts)
     final = traj.snapshots[-1]
     k = (0.5 * np.pi) ** 2
     for D, d, arr in ((1.0, 0.1, final.m), (0.5, 0.2, final.n)):
@@ -225,7 +226,7 @@ def test_symmetry_preserved_with_frozen_fronts():
     y = np.linspace(-1, 1, J + 1)
     m0 = 0.3 * np.cos(0.5 * np.pi * y)
     n0 = 0.8 * np.cos(0.5 * np.pi * y)
-    traj = _march(spec, _state(y, m0, n0), cfg, fronts=_frozen_fronts)
+    traj = _march(spec, Checkpoint(_state(y, m0, n0), 0.01), cfg, fronts=_frozen_fronts)
     final = traj.snapshots[-1]
     assert np.max(np.abs(final.m - final.m[::-1])) < 1e-8
     assert np.max(np.abs(final.n - final.n[::-1])) < 1e-8
@@ -341,6 +342,14 @@ def test_extend_lands_on_output_times_as_the_uninterrupted_run():
     assert [st.t for st in resumed.snapshots] == [st.t for st in whole.snapshots] == [100.0, 100.0]
 
 
+def test_output_times_within_time_tol_of_the_start_land_on_it():
+    # 5e-10 after t=0 is the start; 2e-9 is not, so a step lands there
+    spec, init = _fig1c()
+    cfg = SolverConfig(J=32, dt_max=0.5, t_end=1.0, output_times=(0.0, 5e-10, 2e-9, 1.0))
+    traj = simulate(spec, init, cfg)
+    assert [st.t for st in traj.snapshots] == [0.0, 0.0, 2e-9, 1.0]
+
+
 def test_output_time_closer_than_dt_min_is_not_overshot():
     # the second output time is 5e-9 after the first, less than dt_min = 1e-8
     spec, init = _fig1c()
@@ -371,7 +380,7 @@ def test_rejected_step_halves_the_step_tried(monkeypatch):
         return march_step(spec, state, dt, *args)
 
     monkeypatch.setattr(solver, "step", rejecting)
-    traj = _march(spec, initial_state(spec, init, cfg), cfg, dt=0.05)
+    traj = _march(spec, Checkpoint(initial_state(spec, init, cfg), 0.05), cfg)
     assert len(set(tried)) == len(tried)
     assert [st.t for st in traj.snapshots] == pytest.approx([0.91], abs=TIME_TOL)
     assert traj.t[-1] == pytest.approx(1.2, abs=TIME_TOL)

@@ -8,6 +8,7 @@ import wnvfront as w
 from wnvfront.model import InitialData, ModelSpec
 from wnvfront.solver import SolverConfig
 from wnvfront.verify import (
+    ORDER_BANDS,
     _exact,
     comparison_suite,
     manufactured_convergence,
@@ -23,10 +24,8 @@ def test_exact_solution_dirichlet_compatible():
 
 def test_manufactured_convergence_orders():
     rows = manufactured_convergence()
-    sp = observed_orders(rows, "spatial")
-    tp = observed_orders(rows, "temporal")
-    assert 1.9 <= sp[-1] <= 2.2
-    assert 0.9 <= tp[-1] <= 1.1
+    for study, (lo, hi) in ORDER_BANDS.items():
+        assert lo <= observed_orders(rows, study)[-1] <= hi
     # errors strictly decrease under refinement in both studies
     for study in ("spatial", "temporal"):
         errs = [r["error"] for r in rows if r["study"] == study]
