@@ -197,7 +197,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
               f"error={r['error']:.3e} order={r['order']:.3f}")
     ok = all(lo <= observed_orders(rows, study)[-1] <= hi for study, (lo, hi) in ORDER_BANDS.items())
 
-    spec = cfg.model.with_h0(max(cfg.model.h0, 1.0))
+    spec = replace(cfg.model, h0=max(cfg.model.h0, 1.0))
     scfg = replace(cfg.solver, t_end=10.0, dt_min=0.02, dt_max=0.02, J=200,
                    output_times=(5.0, 10.0))
     # an ordered pair within capacity: 8 % and 12 % of N1, 7.5 % and 11.25 % of N2
@@ -219,7 +219,7 @@ def cmd_reproduce_paper(cfg: RunConfig, args) -> int:
     verdicts = {}
     rows = []
     for h0, mu in CASES:
-        cls = _classify(replace(cfg, model=cfg.model.with_h0(h0).with_mu(mu)), L_star)
+        cls = _classify(replace(cfg, model=replace(cfg.model, h0=h0, mu=mu)), L_star)
         verdicts[(h0, mu)] = cls.verdict
         rows.append((h0, mu, 1.0 if cls.verdict == "Spreading" else 0.0,
                      cls.evidence["final_width"], cls.evidence["final_sup_U"]))
@@ -236,7 +236,7 @@ def cmd_reproduce_paper(cfg: RunConfig, args) -> int:
     monotone = True
     mu_bracket_ok = True
     try:
-        mu_star, _, monotone = _find_mustar(replace(cfg, model=cfg.model.with_h0(MU_STAR_H0)),
+        mu_star, _, monotone = _find_mustar(replace(cfg, model=replace(cfg.model, h0=MU_STAR_H0)),
                                             L_star, out)
     except BadBracketError as e:
         mu_bracket_ok = False

@@ -9,7 +9,8 @@ which covers the trig-polynomial transmission/recovery/death rates used
 throughout, plus constants as a degenerate case.  All evaluation is
 vectorized over x and t.  The temporal factor and the spatial term are
 evaluated apart, so that on a fixed grid the spatial terms are computed once
-(``rates``, which the solver step, the reactions and the estimator share).
+(``LinearizationMatrix.rates``, the one map of the model's four rate fields,
+which the solver step, the reactions and the estimator share).
 Time shifts act exactly on the harmonic phases, so hull elements of these
 fields are reproduced without limits.
 """
@@ -144,17 +145,6 @@ def constant_field(value: float) -> CoefficientField:
     return CoefficientField(base=value)
 
 
-def rates(x, a1, a2, d1, d2):
-    """The map t -> (a1, a2, d1, d2) of the four fields at x; the spatial terms are computed once, here."""
-    s1, s2, s3, s4 = a1.spatial_term(x), a2.spatial_term(x), d1.spatial_term(x), d2.spatial_term(x)
-    t1, t2, t3, t4 = a1.temporal, a2.temporal, d1.temporal, d2.temporal
-
-    def at(t):
-        return t1(t) + s1, t2(t) + s2, t3(t) + s3, t4(t) + s4
-
-    return at
-
-
 @dataclass(frozen=True)
 class LinearizationMatrix:
     """The 2x2 matrix [[-d1, a1*N1], [a2*N2, -d2]] of coefficient fields."""
@@ -170,9 +160,21 @@ class LinearizationMatrix:
         """Return (m11, m12, m21, m22) arrays broadcast over x, t."""
         return self.evaluator(x)(t)
 
+    def rates(self, x):
+        """The map t -> (a1, a2, d1, d2) at x that the solver step, the reactions and
+        ``evaluator`` share; the spatial terms are computed once, here."""
+        fields = (self.a1, self.a2, self.d1, self.d2)
+        s1, s2, s3, s4 = (f.spatial_term(x) for f in fields)
+        t1, t2, t3, t4 = (f.temporal for f in fields)
+
+        def at(t):
+            return t1(t) + s1, t2(t) + s2, t3(t) + s3, t4(t) + s4
+
+        return at
+
     def evaluator(self, x):
         """The map t -> entries(x, t); the spatial terms at x are computed once, by ``rates``."""
-        rate = rates(x, self.a1, self.a2, self.d1, self.d2)
+        rate = self.rates(x)
         N1, N2 = self.N1, self.N2
 
         def at(t):

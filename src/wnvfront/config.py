@@ -73,6 +73,9 @@ class RunSection:
             raise ValueError(f"need 0 < L_lo < L_hi and 0 < mu_lo < mu_hi, all finite; got "
                              f"({self.L_lo}, {self.L_hi}) and ({self.mu_lo}, {self.mu_hi})")
         checked_L_list(self.L_list)
+        if "#" in self.out or self.out != self.out.strip() or len(self.out.splitlines()) > 1:
+            raise ValueError(f"out {self.out!r} cannot be read back from a config file: it may not "
+                             "hold '#' or a line break, nor start or end with whitespace")
 
 
 @dataclass(frozen=True)

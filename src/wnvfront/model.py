@@ -10,13 +10,13 @@ with a1 = alpha1*beta/N1, a2 = alpha2*beta/N1, d1 = gamma, d2 = d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .coefficients import CoefficientField, LinearizationMatrix, TemporalHarmonic, rates
+from .coefficients import CoefficientField, LinearizationMatrix, TemporalHarmonic
 
 
 @dataclass(frozen=True)
@@ -55,46 +55,23 @@ class ModelSpec:
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
-    # Derived reduced coefficients, built once per model
-    @cached_property
-    def a1(self) -> CoefficientField:
-        return self.alpha1.scaled(self.beta / self.N1)
-
-    @cached_property
-    def a2(self) -> CoefficientField:
-        return self.alpha2.scaled(self.beta / self.N1)
-
-    @property
-    def d1(self) -> CoefficientField:
-        return self.gamma_field
-
-    @property
-    def d2(self) -> CoefficientField:
-        return self.death_field
-
     def reaction(self, x, t, U, V):
         """Reaction terms (dU, dV); vectorized over all arguments."""
-        a1, a2, d1, d2 = rates(x, self.a1, self.a2, self.d1, self.d2)(t)
+        a1, a2, d1, d2 = self.linearization().rates(x)(t)
         dU = a1 * (self.N1 - U) * V - d1 * U
         dV = a2 * (self.N2 - V) * U - d2 * V
         return dU, dV
 
     def linearization(self) -> LinearizationMatrix:
-        """Jacobian of the reaction at (U, V) = (0, 0) as a matrix field."""
-        return LinearizationMatrix(
-            a1=self.a1,
-            a2=self.a2,
-            d1=self.d1,
-            d2=self.d2,
-            N1=self.N1,
-            N2=self.N2,
-        )
+        """Jacobian of the reaction at (U, V) = (0, 0) as a matrix field, built once per model:
+        the one holder of the reduced fields a1, a2, d1, d2 and of their map ``rates``."""
+        return self._linearization
 
-    def with_mu(self, mu: float) -> "ModelSpec":
-        return replace(self, mu=mu)
-
-    def with_h0(self, h0: float) -> "ModelSpec":
-        return replace(self, h0=h0)
+    @cached_property
+    def _linearization(self) -> LinearizationMatrix:
+        scale = self.beta / self.N1
+        return LinearizationMatrix(a1=self.alpha1.scaled(scale), a2=self.alpha2.scaled(scale),
+                                   d1=self.gamma_field, d2=self.death_field, N1=self.N1, N2=self.N2)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ splitting whose O(dt) error matches the time step's.
 A coefficient is its temporal factor plus its spatial term, and the
 spatial term depends on the step only through the fronts (g, h).  So
 ``_march`` hands ``step`` one dict, ``terms``, that keeps the rate map of
-``coefficients.rates`` while (g, h) is unchanged, as on a vanishing run
+``LinearizationMatrix.rates`` while (g, h) is unchanged, as on a vanishing run
 whose fronts have stalled, and the step evaluates only the temporal
 factors, at its float time.  A lone ``step`` starts from an empty dict and
 evaluates everything afresh, to the same bits.
@@ -45,7 +45,6 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import get_lapack_funcs
 
-from .coefficients import rates
 from .model import InitialData, ModelSpec
 from .transform import FrontGeometry
 
@@ -244,7 +243,7 @@ def step(
     terms = {} if terms is None else terms
     if key not in terms:  # new fronts: the old spatial terms are stale
         terms.clear()
-        terms[key] = rates(geom_c.to_x(y_int), spec.a1, spec.a2, spec.d1, spec.d2)
+        terms[key] = spec.linearization().rates(geom_c.to_x(y_int))
     a1, a2, d1, d2 = terms[key](t1)
     S1, S2 = sources(y_int, t1) if sources is not None else (0.0, 0.0)
 

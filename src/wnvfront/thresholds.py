@@ -145,8 +145,8 @@ MAX_HORIZON_FACTOR = 8
 
 @dataclass(frozen=True)
 class MuStarConfig:
+    L_star: float  # the model's L*, the width bar of each probe's classification
     solver: SolverConfig = SolverConfig()
-    L_star: float = 1.0
     rel_tol: ClassVar[float] = 1e-2  # the final bracket's width, relative to mu_hi
 
     def __post_init__(self):
@@ -164,11 +164,12 @@ def find_mu_star(
     spec: ModelSpec,
     init: InitialData,
     bracket: Tuple[float, float],
-    cfg: MuStarConfig = MuStarConfig(),
+    cfg: MuStarConfig,
 ) -> Tuple[float, int, List[ProbeRecord]]:
     """Bisect the expansion rate on the simulate+classify predicate.
 
-    Returns (mu_star, iterations, transcript).  A probe that comes out
+    Returns (mu_star, iterations, transcript).  ``cfg`` is required: every
+    probe is classified against its ``L_star``.  A probe that comes out
     Undetermined has its horizon doubled, again and again up to
     MAX_HORIZON_FACTOR times the configured ``cfg.solver.t_end``;
     bisection places its last probes close to mu*, where extinction is
@@ -182,7 +183,7 @@ def find_mu_star(
     t_limit = MAX_HORIZON_FACTOR * cfg.solver.t_end
 
     def probe(mu: float) -> str:
-        spec_mu, scfg = spec.with_mu(mu), cfg.solver
+        spec_mu, scfg = replace(spec, mu=mu), cfg.solver
         traj = simulate(spec_mu, init, scfg)
         while True:
             verdict = classify(traj, cfg.L_star).verdict

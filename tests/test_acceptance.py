@@ -7,6 +7,7 @@ once per session.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,7 @@ def regime_runs(ref_spec):
     cfg = SolverConfig(J=400, t_end=300.0, output_times=tail)
     runs = {}
     for h0, mu in CASES:
-        spec = ref_spec.with_h0(h0).with_mu(mu)
+        spec = replace(ref_spec, h0=h0, mu=mu)
         t0 = time.time()
         traj = w.simulate(spec, InitialData(), cfg)
         runs[(h0, mu)] = (traj, time.time() - t0)
@@ -115,7 +116,7 @@ def test_criterion_02_threshold_brackets(ref_spec, regime_verdicts, L_star):
     mu_ok = False
     try:
         mcfg = MuStarConfig(solver=SolverConfig(J=400, t_end=300.0), L_star=L_star)
-        mu_star, _, transcript = find_mu_star(ref_spec.with_h0(MU_STAR_H0), InitialData(),
+        mu_star, _, transcript = find_mu_star(replace(ref_spec, h0=MU_STAR_H0), InitialData(),
                                               MU_BRACKET, mcfg)
         mu_ok = MU_BRACKET[0] < mu_star < MU_BRACKET[1] and transcript_monotone(transcript)
         mu_detail = f"mu*={mu_star:.4f}"
@@ -160,7 +161,7 @@ def test_criterion_04_monotonicity(ref_spec):
     cfg = SolverConfig(J=200, dt_min=0.02, dt_max=0.02, t_end=30.0)
     hs, gs = [], []
     for mu in (0.05, 0.1, 0.2):
-        traj = w.simulate(ref_spec.with_mu(mu), InitialData(), cfg)
+        traj = w.simulate(replace(ref_spec, mu=mu), InitialData(), cfg)
         hs.append(traj.h)
         gs.append(traj.g)
     margin = min(

@@ -303,6 +303,19 @@ def test_bad_run_setting_is_config_error(tmp_path, capsys, monkeypatch, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["results#1", " x", "a\nb"])
+def test_out_the_config_cannot_hold_is_config_error(tmp_path, capsys, monkeypatch, out):
+    # config_used.cfg would read back another directory, or not at all
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("integrated despite a bad --out")
+
+    monkeypatch.setattr(cli, "simulate", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["--out", out, "simulate"]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rejected_field_names_its_keys(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(_fast_cfg_with(_DIPPING_GAMMA), encoding="utf-8")

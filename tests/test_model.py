@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,8 @@ def test_jacobian_off_diagonals_exact():
     spec = ModelSpec()
     x, t = -1.3, 12.0
     A = np.reshape(spec.linearization().entries(x, t), (2, 2))
-    assert A[0, 1] == spec.a1.eval(x, t) * spec.N1
-    assert A[1, 0] == spec.a2.eval(x, t) * spec.N2
+    assert A[0, 1] == spec.linearization().a1.eval(x, t) * spec.N1
+    assert A[1, 0] == spec.linearization().a2.eval(x, t) * spec.N2
 
 
 def test_constant_coefficient_jacobian():
@@ -69,15 +71,23 @@ def test_default_spec_parameters():
     assert (spec.D1, spec.D2) == (3.0, 0.125)
     assert (spec.N1, spec.N2) == (1.0, 20.0)
     assert spec.beta == 0.6
-    assert spec.a1.eval(0.0, 0.0) == pytest.approx(1.5488 * 0.6, abs=1e-12)
+    assert spec.linearization().a1.eval(0.0, 0.0) == pytest.approx(1.5488 * 0.6, abs=1e-12)
 
 
-def test_with_mu_with_h0():
+def test_replace_mu_h0():
     spec = ModelSpec()
-    assert spec.with_mu(0.7).mu == 0.7
-    assert spec.with_h0(0.5).h0 == 0.5
+    assert replace(spec, mu=0.7).mu == 0.7
+    assert replace(spec, h0=0.5).h0 == 0.5
     with pytest.raises(ValueError):
-        spec.with_mu(-1.0)
+        replace(spec, mu=-1.0)
+
+
+def test_linearization_is_built_once_per_model():
+    spec = ModelSpec()
+    assert spec.linearization() is spec.linearization()
+    other = replace(spec, mu=0.7).linearization()
+    assert other is not spec.linearization()
+    assert other == spec.linearization()
 
 
 def test_initial_data_cosine():

@@ -193,7 +193,7 @@ def test_find_mustar_bisection_with_stub(monkeypatch, ref_spec):
     monkeypatch.setattr(th, "simulate", stub.simulate)
     monkeypatch.setattr(th, "classify", stub.classify)
     mu_star, iters, transcript = find_mu_star(
-        ref_spec, None, (0.1, 0.2), MuStarConfig()
+        ref_spec, None, (0.1, 0.2), MuStarConfig(L_star=1.0)
     )
     assert mu_star == pytest.approx(0.147, abs=0.2 * 1e-2 + 5e-4)
     assert iters >= 1
@@ -205,9 +205,9 @@ def test_find_mustar_degenerate_bracket(monkeypatch, ref_spec):
     monkeypatch.setattr(th, "simulate", stub.simulate)
     monkeypatch.setattr(th, "classify", stub.classify)
     with pytest.raises(BadBracketError):
-        find_mu_star(ref_spec, None, (0.1, 0.2), MuStarConfig())
+        find_mu_star(ref_spec, None, (0.1, 0.2), MuStarConfig(L_star=1.0))
     with pytest.raises(ValueError):
-        find_mu_star(ref_spec, None, (0.2, 0.1), MuStarConfig())
+        find_mu_star(ref_spec, None, (0.2, 0.1), MuStarConfig(L_star=1.0))
 
 
 def test_find_mustar_raises_at_iteration_cap(monkeypatch, ref_spec):
@@ -217,7 +217,7 @@ def test_find_mustar_raises_at_iteration_cap(monkeypatch, ref_spec):
     monkeypatch.setattr(th, "classify", stub.classify)
     monkeypatch.setattr(th, "MAX_ITER", 3)
     with pytest.raises(th.NotConvergedError):
-        find_mu_star(ref_spec, None, (0.1, 0.2), MuStarConfig())
+        find_mu_star(ref_spec, None, (0.1, 0.2), MuStarConfig(L_star=1.0))
 
 
 @pytest.mark.parametrize("build", [
@@ -230,6 +230,12 @@ def test_find_mustar_raises_at_iteration_cap(monkeypatch, ref_spec):
 def test_search_tolerances_must_be_positive(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_mustar_config_needs_the_models_L_star():
+    # a default L* would classify every probe against another model's width bar
+    with pytest.raises(TypeError):
+        MuStarConfig()
 
 
 class _SlowProbeStub(_MuProbeStub):
@@ -271,7 +277,7 @@ def test_find_mustar_extends_horizon_until_decided(monkeypatch, ref_spec):
     stub = _SlowProbeStub(mu_star=0.147, decided_at=1200.0)
     stub.install(monkeypatch)
     mu_star, _, transcript = find_mu_star(
-        ref_spec, None, (0.1, 0.2), MuStarConfig(solver=SolverConfig(t_end=300.0))
+        ref_spec, None, (0.1, 0.2), MuStarConfig(L_star=1.0, solver=SolverConfig(t_end=300.0))
     )
     assert stub.horizons[:3] == [300.0, 600.0, 1200.0]
     assert mu_star == pytest.approx(0.147, abs=0.2 * 1e-2 + 5e-4)
@@ -285,7 +291,8 @@ def test_find_mustar_undetermined_at_horizon_bound(monkeypatch, ref_spec):
     stub = _SlowProbeStub(mu_star=0.147, decided_at=4800.0)
     stub.install(monkeypatch)
     with pytest.raises(th.NotConvergedError):
-        find_mu_star(ref_spec, None, (0.1, 0.2), MuStarConfig(solver=SolverConfig(t_end=300.0)))
+        find_mu_star(ref_spec, None, (0.1, 0.2),
+                     MuStarConfig(L_star=1.0, solver=SolverConfig(t_end=300.0)))
     # the configured horizon and three doublings: the bound is 8x, integrated once (8T, not 15T)
     assert stub.horizons == [300.0, 600.0, 1200.0, 2400.0]
     assert stub.integrated == [2400.0]
