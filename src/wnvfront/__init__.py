@@ -4,7 +4,6 @@ from .coefficients import (
     CoefficientField,
     LinearizationMatrix,
     TemporalHarmonic,
-    constant_field,
     spatial_profile,
 )
 from .model import InitialData, ModelSpec

@@ -88,7 +88,7 @@ def _simulate(cfg: RunConfig):
     scfg = cfg.solver
     if not scfg.output_times:
         scfg = replace(scfg, output_times=tuple(np.linspace(0.0, scfg.t_end, 7)))
-    return simulate(cfg.model_spec(), cfg.initial_data(), scfg)
+    return simulate(cfg.model, cfg.init, scfg)
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
@@ -103,7 +103,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_lyapunov(cfg: RunConfig, args) -> int:
-    spec = cfg.model_spec()
+    spec = cfg.model
     L = args.half_width if args.half_width is not None else spec.h0
     est = lyapunov_exponent(spec.linearization(), L, (spec.D1, spec.D2), cfg.lyapunov)
     print(f"lambda={est.lam:.6f} L={L:g} err={est.err:.3g} converged={est.converged}")
@@ -111,7 +111,7 @@ def cmd_lyapunov(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    spec = cfg.model_spec()
+    spec = cfg.model
     out = _outdir(cfg)
     Ls = cfg.run.L_list or np.linspace(0.4, 3.0, 10)
     result = lambda_sweep(spec.linearization(), (spec.D1, spec.D2), Ls, cfg.lyapunov)
@@ -130,7 +130,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 def _find_lstar(cfg: RunConfig):
     """find_L_star on the [run] bracket with the program's search."""
-    spec = cfg.model_spec()
+    spec = cfg.model
     return find_L_star(spec.linearization(), (spec.D1, spec.D2), (cfg.run.L_lo, cfg.run.L_hi),
                        cfg.search_config())
 
@@ -149,9 +149,7 @@ def _find_mustar(cfg: RunConfig, L_star: float, out: Path):
     Returns (mu_star, iterations, transcript monotone).
     """
     mcfg = MuStarConfig(solver=cfg.solver, L_star=L_star)
-    mu_star, iters, transcript = find_mu_star(
-        cfg.model_spec(), cfg.initial_data(), (cfg.run.mu_lo, cfg.run.mu_hi), mcfg
-    )
+    mu_star, iters, transcript = find_mu_star(cfg.model, cfg.init, (cfg.run.mu_lo, cfg.run.mu_hi), mcfg)
     write_csv(
         out / "mustar_transcript.csv",
         ["mu", "spreading", "t_end"],

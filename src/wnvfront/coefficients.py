@@ -140,11 +140,6 @@ class CoefficientField:
         return not self.harmonics
 
 
-def constant_field(value: float) -> CoefficientField:
-    """A spatially and temporally constant positive coefficient."""
-    return CoefficientField(base=value)
-
-
 @dataclass(frozen=True)
 class LinearizationMatrix:
     """The 2x2 matrix [[-d1, a1*N1], [a2*N2, -d2]] of coefficient fields."""
@@ -198,10 +193,10 @@ class LinearizationMatrix:
         if A0[0, 0] >= 0 or A0[1, 1] >= 0:
             raise ValueError("diagonal entries must be negative")
         return cls(
-            a1=constant_field(A0[0, 1]),
-            a2=constant_field(A0[1, 0]),
-            d1=constant_field(-A0[0, 0]),
-            d2=constant_field(-A0[1, 1]),
+            a1=CoefficientField(A0[0, 1]),
+            a2=CoefficientField(A0[1, 0]),
+            d1=CoefficientField(-A0[0, 0]),
+            d2=CoefficientField(-A0[1, 1]),
             N1=1.0,
             N2=1.0,
         )

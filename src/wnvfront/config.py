@@ -9,11 +9,11 @@ The format is flat and diffable:
     [solver]
     t_end = 300.0
 
-The [model], [solver] and [lyapunov] sections are ModelSpec, SolverConfig
-and EstimatorConfig themselves, so every key takes its default from the
-program.  A section's keys are exactly its dataclass fields, with a
-coefficient field written as four keys.  Unknown keys are errors, and
-parse(render(cfg)) round-trips exactly.
+The [model], [init], [solver] and [lyapunov] sections are ModelSpec,
+InitialData, SolverConfig and EstimatorConfig themselves, so every key takes
+its default from the program.  A section's keys are exactly its dataclass
+fields, with a coefficient field written as four keys.  Unknown keys are
+errors, and parse(render(cfg)) round-trips exactly.
 """
 
 from __future__ import annotations
@@ -47,19 +47,6 @@ class ValidationError(ConfigError):
 
 
 @dataclass(frozen=True)
-class InitSection:
-    """The cosine bump of amplitudes amp_U, amp_V, or the samples in ``file`` when it is set."""
-
-    amp_U: float = InitialData.amp_U
-    amp_V: float = InitialData.amp_V
-    file: str = ""  # CSV with columns x, U, V
-
-    def __post_init__(self):
-        if self.file and (self.amp_U, self.amp_V) != (InitialData.amp_U, InitialData.amp_V):
-            raise ValueError("amp_U and amp_V set the cosine bump, which [init] file replaces")
-
-
-@dataclass(frozen=True)
 class RunSection:
     out: str = "out"
     L_lo: float = LSTAR_BRACKET[0]
@@ -81,20 +68,18 @@ class RunSection:
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelSpec = ModelSpec()
-    init: InitSection = InitSection()
+    init: InitialData = InitialData()
     solver: SolverConfig = SolverConfig()
     lyapunov: EstimatorConfig = EstimatorConfig()
     run: RunSection = RunSection()
 
     def model_spec(self) -> ModelSpec:
+        """The [model] section; perfbench's workloads read it through this method."""
         return self.model
 
     def initial_data(self) -> InitialData:
-        s = self.init
-        if not s.file:
-            return InitialData(amp_U=s.amp_U, amp_V=s.amp_V)
-        data = np.genfromtxt(s.file, delimiter=",", names=True)
-        return InitialData.from_samples(data["x"], data["U"], data["V"])
+        """The [init] section; perfbench's workloads read it through this method."""
+        return self.init
 
     def search_config(self) -> LStarConfig:
         """The L* search that find-lstar runs: the program's LStarConfig at the [lyapunov] tol."""
@@ -104,8 +89,7 @@ class RunConfig:
 # section name -> its dataclass, in file order
 _SECTIONS = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
 
-# A coefficient field is written as four keys <prefix>_<part>
-_FIELD_PREFIX = {"gamma_field": "gamma", "death_field": "death"}
+# A coefficient field is written as four keys <name>_<part>
 _FIELD_PARTS = ("base", "harmonics", "spatial_amp", "spatial")
 
 
@@ -132,11 +116,10 @@ def render_config(cfg: RunConfig) -> str:
         for name in (f.name for f in fields(section)):
             value = getattr(section, name)
             if isinstance(value, CoefficientField):
-                prefix = _FIELD_PREFIX.get(name, name)
                 for part in _FIELD_PARTS:
                     text = _fmt(tuple(map(_fmt_harmonic, value.harmonics)) if part == "harmonics"
                                 else getattr(value, part))
-                    lines.append(f"{prefix}_{part} = {text}")
+                    lines.append(f"{name}_{part} = {text}")
             else:
                 lines.append(f"{name} = {_fmt(value)}")
         lines.append("")
@@ -259,7 +242,7 @@ def _parse(text: str, root: Path) -> RunConfig:
         for name in (f.name for f in fields(cls)):
             value = getattr(default, name)
             if isinstance(value, CoefficientField):
-                kwargs[name] = _parse_field(_FIELD_PREFIX.get(name, name), value, pending)
+                kwargs[name] = _parse_field(name, value, pending)
             elif name in pending:
                 raw_value, line_no = pending.pop(name)
                 kwargs[name] = _parse_value(raw_value, value, line_no)
@@ -270,6 +253,6 @@ def _parse(text: str, root: Path) -> RunConfig:
             kwargs["file"] = str(root / kwargs["file"])
         built[section_name] = _validated(cls, **kwargs)
     cfg = RunConfig(**built)
-    _validated(lambda: cfg.initial_data().validate(cfg.model))
+    _validated(cfg.init.validate, cfg.model)
     return cfg
 

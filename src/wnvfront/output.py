@@ -41,8 +41,9 @@ def check_snapshot_names(times) -> None:
 
 
 def write_trajectory_csv(traj: Trajectory, outdir) -> List[Path]:
-    """boundaries.csv plus one snapshot_name(t) per stored snapshot; names must not collide."""
-    check_snapshot_names([st.t for st in traj.snapshots])
+    """boundaries.csv plus one snapshot_name(t) per landed state; names must not collide."""
+    snapshots = list({st.t: st for st in traj.snapshots}.values())  # march time increases: equal t, one state
+    check_snapshot_names([st.t for st in snapshots])
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -53,7 +54,7 @@ def write_trajectory_csv(traj: Trajectory, outdir) -> List[Path]:
         zip(traj.t, traj.g, traj.h, traj.gdot, traj.hdot, traj.sup_m, traj.sup_n),
     )
     written.append(bpath)
-    for st in traj.snapshots:
+    for st in snapshots:
         x = st.geom.to_x(st.y)
         spath = outdir / snapshot_name(st.t)
         write_csv(spath, ["x", "y", "U", "V"], zip(x, st.y, st.m, st.n))

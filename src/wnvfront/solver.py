@@ -88,8 +88,8 @@ class SolverConfig:
             raise ValueError("J must be >= 16")
         if not (0 < self.dt_min <= self.dt_max < np.inf):
             raise ValueError("need 0 < dt_min <= dt_max, both finite")
-        if not 0 < self.t_end < np.inf:
-            raise ValueError("t_end must be positive and finite")
+        if not TIME_TOL < self.t_end < np.inf:  # a horizon within TIME_TOL of 0 is landed on at once
+            raise ValueError(f"t_end must be finite and above the landing tolerance TIME_TOL={TIME_TOL:g}")
         if not all(0 <= t < np.inf for t in self.output_times):
             raise ValueError(f"output_times must be finite and nonnegative, got {self.output_times}")
         object.__setattr__(self, "output_times", tuple(self.output_times))

@@ -13,9 +13,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .coefficients import constant_field
+from .coefficients import CoefficientField
 from .model import InitialData, ModelSpec
-from .solver import Checkpoint, FrontState, SolverConfig, Trajectory, simulate, _march
+from .solver import Checkpoint, SolverConfig, Trajectory, initial_state, simulate, _march
 from .transform import FrontGeometry
 
 ORDER_TOL = 1e-8  # how far below zero a comparison margin may read and still pass
@@ -36,10 +36,10 @@ def _manufactured_spec() -> ModelSpec:
         N1=2.0,
         N2=2.0,
         beta=1.0,
-        alpha1=constant_field(0.4),  # a1 = 0.2
-        alpha2=constant_field(0.4),
-        gamma_field=constant_field(0.1),
-        death_field=constant_field(0.1),
+        alpha1=CoefficientField(0.4),  # a1 = 0.2
+        alpha2=CoefficientField(0.4),
+        gamma=CoefficientField(0.1),
+        death=CoefficientField(0.1),
         mu=0.1,  # unused: fronts prescribed
         h0=1.0,
     )
@@ -81,12 +81,11 @@ def _run_manufactured(J: int, dt: float, t_end: float) -> float:
     """Sup-norm error of the numerical solution against the exact one at t_end."""
     spec = _manufactured_spec()
     cfg = SolverConfig(J=J, dt_min=dt, dt_max=dt, t_end=t_end, output_times=(t_end,))
-    y = np.linspace(-1.0, 1.0, J + 1)
-    g, h, gd, hd = _fronts(0.0)
-    state0 = FrontState(0.0, y, _exact(y, 0.0), _exact(y, 0.0), FrontGeometry(g, h, gd, hd))
+    # the unit cosine bump on h0 = 1 is _exact(y, 0) at the interior nodes, all that the step reads
+    state0 = initial_state(spec, InitialData(amp_U=1.0, amp_V=1.0), cfg)
     traj = _march(spec, Checkpoint(state0, dt), cfg, fronts=_fronts, sources=_manufactured_sources(spec))
     final = traj.snapshots[-1]
-    exact = _exact(y, final.t)
+    exact = _exact(final.y, final.t)
     return max(
         float(np.max(np.abs(final.m - exact))),
         float(np.max(np.abs(final.n - exact))),

@@ -6,6 +6,7 @@ import pytest
 
 import wnvfront.cli as cli
 import wnvfront.lyapunov as lyapunov
+import wnvfront.output as output
 import wnvfront.solver as solver
 import wnvfront.thresholds as th
 from wnvfront.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, cli_main
@@ -283,10 +284,12 @@ _DIPPING_GAMMA = ("[model]\ngamma_base = 1.0\n"
     ("find-lstar", "[run]\nL_hi = inf"),
     ("sweep-lambda", "[run]\nL_list = 0.5, inf"),
     ("sweep-lambda --L-list 0.5,inf", ""),
+    ("simulate --t-end 5e-10", ""),
+    ("classify --t-end 1e-10 --L-star 1.28", ""),
 ], ids=["bad_output_times", "colliding_output_times", "dipping_field", "t_end_flag_inf",
         "t_end_inf", "mu_inf", "D1_inf", "beta_inf", "h0_inf", "frequency_inf",
         "base_inf", "spatial_amp_nan", "amp_U_nan", "horizon_inf", "L_hi_inf", "L_list_inf",
-        "L_list_flag_inf"])
+        "L_list_flag_inf", "t_end_flag_within_time_tol", "classify_t_end_within_time_tol"])
 def test_bad_run_setting_is_config_error(tmp_path, capsys, monkeypatch, command, setting):
     # rejected while the config is read, before anything is integrated
     def must_not_run(*args, **kwargs):
@@ -400,6 +403,32 @@ def test_init_file_loads_samples(tmp_path):
     snap = np.genfromtxt(out / "snapshot_0.csv", delimiter=",", names=True)
     np.testing.assert_allclose(snap["U"], np.interp(snap["x"], x, U), rtol=0, atol=1e-15)
     np.testing.assert_allclose(snap["V"], np.interp(snap["x"], x, V), rtol=0, atol=1e-15)
+
+
+def test_init_file_is_read_once_per_run(tmp_path, monkeypatch):
+    x = np.linspace(-2.0, 2.0, 9)
+    samples = tmp_path / "init.csv"
+    np.savetxt(samples, np.column_stack([x, 0.05 * (2.0 - np.abs(x)), 2.0 - np.abs(x)]),
+               delimiter=",", header="x,U,V", comments="")
+    cfg_path = tmp_path / "sampled.cfg"
+    cfg_path.write_text(FAST_CFG + f"[init]\nfile = {samples}\n", encoding="utf-8")
+    reads = []
+    genfromtxt = np.genfromtxt
+    monkeypatch.setattr(np, "genfromtxt", lambda *a, **k: reads.append(a[0]) or genfromtxt(*a, **k))
+    assert cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "simulate"]) == EXIT_OK
+    assert reads == [str(samples)]
+
+
+def test_horizon_just_above_time_tol_writes_each_landed_state_once(tmp_path, monkeypatch):
+    # the default output times 0 and 5e-9/6 both land on the start state
+    names = []
+    write_csv = output.write_csv
+    monkeypatch.setattr(output, "write_csv", lambda path, *a: names.append(Path(path).name)
+                        or write_csv(path, *a))
+    out = tmp_path / "o"
+    assert cli_main(["--out", str(out), "simulate", "--t-end", "5e-9", "--grid", "32"]) == EXIT_OK
+    assert names.count("snapshot_0.csv") == 1
+    assert len(names) == len(set(names))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -9,7 +9,6 @@ from wnvfront.coefficients import (
     CoefficientField,
     LinearizationMatrix,
     TemporalHarmonic,
-    constant_field,
     spatial_profile,
 )
 from wnvfront.lyapunov import EstimatorConfig, lyapunov_exponent
@@ -48,7 +47,7 @@ def almost_period(field: CoefficientField, eps: float, t_max: float = 1e4) -> fl
 
 
 def test_constant_field_identity():
-    f = constant_field(0.37)
+    f = CoefficientField(0.37)
     x = np.linspace(-10, 10, 7)
     t = np.linspace(0, 100, 5)
     assert np.all(f.eval(x[:, None], t[None, :]) == 0.37)
@@ -63,8 +62,8 @@ def test_alpha1_reference_value():
 def test_other_reference_values_at_origin():
     spec = ModelSpec()
     assert spec.alpha2.eval(0.0, 0.0) == pytest.approx(0.216, abs=1e-12)
-    assert spec.gamma_field.eval(0.0, 0.0) == pytest.approx(0.1, abs=1e-12)
-    assert spec.death_field.eval(0.0, 0.0) == pytest.approx(0.029, abs=1e-12)
+    assert spec.gamma.eval(0.0, 0.0) == pytest.approx(0.1, abs=1e-12)
+    assert spec.death.eval(0.0, 0.0) == pytest.approx(0.029, abs=1e-12)
 
 
 def test_shift_by_zero_is_identity():
@@ -76,7 +75,7 @@ def test_shift_by_zero_is_identity():
 
 
 def test_constant_shift_is_identity():
-    f = constant_field(1.3)
+    f = CoefficientField(1.3)
     t = np.linspace(0, 10, 9)
     np.testing.assert_array_equal(f.shifted(123.4).eval(0.0, t), f.eval(0.0, t))
 
@@ -93,7 +92,7 @@ def test_alpha1_exact_period_shift():
 
 def test_shift_semantics_and_composition():
     spec = ModelSpec()
-    f = spec.gamma_field
+    f = spec.gamma
     tau = 2.7
     t = np.linspace(0, 30, 17)
     np.testing.assert_allclose(f.shifted(tau).eval(1.0, t), f.eval(1.0, t + tau),
@@ -106,7 +105,7 @@ def test_positivity_on_dense_sample():
     spec = ModelSpec()
     x = np.linspace(-50, 50, 200)[:, None]
     t = np.linspace(0, 200, 200)[None, :]
-    for f in (spec.alpha1, spec.alpha2, spec.gamma_field, spec.death_field):
+    for f in (spec.alpha1, spec.alpha2, spec.gamma, spec.death):
         sampled = np.min(f.eval(x, t))
         assert sampled >= 1e-3
         assert f.infimum <= sampled

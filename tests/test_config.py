@@ -204,7 +204,7 @@ def _configs(draw):
         cfg.model,
         **{k: draw(_floats) for k in ("D1", "D2", "N1", "N2", "beta", "mu", "h0")},
         alpha1=draw(_fields()), alpha2=draw(_fields()),
-        gamma_field=draw(_fields()), death_field=draw(_fields()),
+        gamma=draw(_fields()), death=draw(_fields()),
     )
     init = replace(cfg.init, amp_U=draw(_fractions) * model.N1 + 1e-6 * model.N1,
                    amp_V=draw(_fractions) * model.N2 + 1e-6 * model.N2)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wnvfront.coefficients import constant_field
+from wnvfront.coefficients import CoefficientField
 from wnvfront.model import InitialData, ModelSpec
 
 
@@ -55,8 +55,8 @@ def test_jacobian_off_diagonals_exact():
 def test_constant_coefficient_jacobian():
     spec = ModelSpec(
         D1=1.0, D2=1.0, N1=2.0, N2=3.0, beta=1.0,
-        alpha1=constant_field(0.8), alpha2=constant_field(0.5),
-        gamma_field=constant_field(0.2), death_field=constant_field(0.3),
+        alpha1=CoefficientField(0.8), alpha2=CoefficientField(0.5),
+        gamma=CoefficientField(0.2), death=CoefficientField(0.3),
         mu=0.1, h0=1.0,
     )
     # a1 = 0.8/2 = 0.4, a2 = 0.5/2 = 0.25
@@ -107,11 +107,17 @@ def test_initial_data_validation():
         InitialData(amp_V=-1.0).validate(spec)
 
 
-def test_sampled_initial_data():
+def _samples_file(path, x, U, V) -> str:
+    np.savetxt(path, np.column_stack([x, U, V]), delimiter=",", header="x,U,V", comments="")
+    return str(path)
+
+
+def test_sampled_initial_data(tmp_path):
     x = np.linspace(-1.0, 1.0, 21)
     U = 0.05 * np.cos(0.5 * np.pi * x)
     V = 1.0 * np.cos(0.5 * np.pi * x)
-    init = InitialData.from_samples(x, U, V)
+    init = InitialData(file=_samples_file(tmp_path / "increasing.csv", x, U, V))
     init.validate(ModelSpec(h0=1.0))
-    with pytest.raises(ValueError):
-        InitialData.from_samples(x[::-1], U, V)
+    reversed_file = _samples_file(tmp_path / "reversed.csv", x[::-1], U, V)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        InitialData(file=reversed_file).validate(ModelSpec(h0=1.0))

@@ -8,7 +8,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import block_diag
 
 from wnvfront import load_config, solver
-from wnvfront.coefficients import CoefficientField, constant_field
+from wnvfront.coefficients import CoefficientField
 from wnvfront.model import InitialData, ModelSpec
 from wnvfront.solver import (
     BANDS,
@@ -79,8 +79,8 @@ def test_pure_decay_matches_separated_mode():
     # rate d + D (pi/2)^2.
     spec = ModelSpec(
         D1=1.0, D2=0.5, N1=1.0, N2=1.0, beta=1.0,
-        alpha1=constant_field(1e-12), alpha2=constant_field(1e-12),
-        gamma_field=constant_field(0.1), death_field=constant_field(0.2),
+        alpha1=CoefficientField(1e-12), alpha2=CoefficientField(1e-12),
+        gamma=CoefficientField(0.1), death=CoefficientField(0.2),
         mu=0.1, h0=1.0,
     )
     J, dt = 200, 1e-3
@@ -218,8 +218,8 @@ def test_step_makes_one_banded_solve(ref_spec, spreading_state, monkeypatch):
 def test_symmetry_preserved_with_frozen_fronts():
     spec = ModelSpec(
         D1=1.0, D2=0.5, N1=1.0, N2=2.0, beta=1.0,
-        alpha1=constant_field(0.4), alpha2=constant_field(0.4),
-        gamma_field=constant_field(0.1), death_field=constant_field(0.1),
+        alpha1=CoefficientField(0.4), alpha2=CoefficientField(0.4),
+        gamma=CoefficientField(0.1), death=CoefficientField(0.1),
         mu=0.1, h0=1.0,
     )
     J = 80
@@ -264,7 +264,7 @@ def test_solver_config_validation():
         SolverConfig(J=4, t_end=1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt_min=1e-3, dt_max=1e-4, t_end=1.0)
-    for t_end in (0.0, -5.0, float("nan")):
+    for t_end in (0.0, -5.0, float("nan"), 0.5 * TIME_TOL):  # the march counts 0.5 * TIME_TOL as reached
         with pytest.raises(ValueError):
             SolverConfig(t_end=t_end)
     for times in ((-1.0,), (1.0, float("nan")), (float("inf"),)):

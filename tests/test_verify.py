@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 import wnvfront as w
 from wnvfront.model import InitialData, ModelSpec
-from wnvfront.solver import SolverConfig
+from wnvfront.solver import SolverConfig, initial_state
 from wnvfront.verify import (
+    J_FINE,
     ORDER_BANDS,
+    SPATIAL_J,
     _exact,
+    _manufactured_spec,
     comparison_suite,
     manufactured_convergence,
     observed_orders,
@@ -20,6 +23,12 @@ from wnvfront.verify import (
 def test_exact_solution_dirichlet_compatible():
     assert _exact(1.0, 0.3) == pytest.approx(0.0, abs=1e-15)
     assert _exact(-1.0, 0.3) == pytest.approx(0.0, abs=1e-15)
+    # the manufactured runs start from the unit cosine bump, which is _exact(y, 0) inside
+    for J in (*SPATIAL_J, J_FINE):
+        state = initial_state(_manufactured_spec(), InitialData(amp_U=1.0, amp_V=1.0), SolverConfig(J=J))
+        exact = _exact(state.y, 0.0)
+        np.testing.assert_array_equal(state.m[1:-1], exact[1:-1])
+        np.testing.assert_array_equal(state.n[1:-1], exact[1:-1])
 
 
 def test_manufactured_convergence_orders():
@@ -95,7 +104,7 @@ def _autonomous_spec():
     return ModelSpec(
         D1=3.0, D2=0.125, N1=1.0, N2=20.0, beta=0.6,
         alpha1=strip(base.alpha1), alpha2=strip(base.alpha2),
-        gamma_field=strip(base.gamma_field), death_field=strip(base.death_field),
+        gamma=strip(base.gamma), death=strip(base.death),
         mu=0.1, h0=2.0,
     )
 
