@@ -139,6 +139,15 @@ def _resolve_lstar(cfg: RunConfig, args) -> float:
     return checked_L_star(args.L_star) if args.L_star is not None else _find_lstar(cfg)[0]
 
 
+def _check_start(cfg: RunConfig, h0s) -> None:
+    """Validate [init] at every h0 a command will run, before any search: a sampled start fixes h0."""
+    for h0 in h0s:
+        try:
+            cfg.init.validate(replace(cfg.model, h0=h0))
+        except ValueError as e:
+            raise ValueError(f"{e} (h0={h0:g})") from None
+
+
 def _classify(cfg: RunConfig, L_star: float):
     return classify(_simulate(cfg), L_star)
 
@@ -165,6 +174,7 @@ def cmd_find_lstar(cfg: RunConfig, args) -> int:
 
 
 def cmd_find_mustar(cfg: RunConfig, args) -> int:
+    _check_start(cfg, [cfg.model.h0])
     out = _outdir(cfg)
     mu_star, iters, monotone = _find_mustar(cfg, _resolve_lstar(cfg, args), out)
     print(f"mu_star={mu_star:.4f} iterations={iters} monotone={monotone}")
@@ -172,6 +182,7 @@ def cmd_find_mustar(cfg: RunConfig, args) -> int:
 
 
 def cmd_classify(cfg: RunConfig, args) -> int:
+    _check_start(cfg, [cfg.model.h0])
     cls = _classify(cfg, _resolve_lstar(cfg, args))
     print(f"verdict={cls.verdict} final_width={cls.evidence['final_width']:.4f} "
           f"supU={cls.evidence['final_sup_U']:.3e}")
@@ -209,6 +220,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def cmd_reproduce_paper(cfg: RunConfig, args) -> int:
+    _check_start(cfg, [h0 for h0, _ in CASES] + [MU_STAR_H0])
     out = _outdir(cfg)
     print("estimating exponent-based critical half-width ...")
     L_star, _ = _find_lstar(cfg)

@@ -42,7 +42,7 @@ def check_snapshot_names(times) -> None:
 
 def write_trajectory_csv(traj: Trajectory, outdir) -> List[Path]:
     """boundaries.csv plus one snapshot_name(t) per landed state; names must not collide."""
-    snapshots = list({st.t: st for st in traj.snapshots}.values())  # march time increases: equal t, one state
+    snapshots = traj.landed_states
     check_snapshot_names([st.t for st in snapshots])
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -167,14 +167,15 @@ def svg_heatmap(M: np.ndarray, path, title: str = "") -> Path:
 
 
 def trajectory_heatmap_matrix(traj: Trajectory):
-    """Space-time raster of U from the snapshots, on a common grid of HEATMAP_CELLS x values."""
-    if not traj.snapshots:
+    """Space-time raster of U, one row per landed state, on a common grid of HEATMAP_CELLS x values."""
+    states = traj.landed_states
+    if not states:
         raise ValueError("trajectory has no snapshots")
-    g_min = min(st.geom.g for st in traj.snapshots)
-    h_max = max(st.geom.h for st in traj.snapshots)
+    g_min = min(st.geom.g for st in states)
+    h_max = max(st.geom.h for st in states)
     xg = np.linspace(g_min, h_max, HEATMAP_CELLS)
     rows = []
-    for st in traj.snapshots:
+    for st in states:
         x = st.geom.to_x(st.y)
         row = np.interp(xg, x, st.m, left=0.0, right=0.0)
         rows.append(row)

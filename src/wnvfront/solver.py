@@ -122,6 +122,11 @@ class Trajectory:
     def width(self) -> np.ndarray:
         return self.h - self.g
 
+    @property
+    def landed_states(self) -> List[FrontState]:
+        """The snapshots, one per state: output times that landed on one state share its entry."""
+        return list({st.t: st for st in self.snapshots}.values())  # march time increases: equal t, one state
+
 
 def boundary_derivative(m: np.ndarray, side: str) -> float:
     """Second-order one-sided estimate of m_y at y = +1 ('right') or -1 ('left') from grid values m."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .coefficients import CoefficientField
 from .model import InitialData, ModelSpec
@@ -128,8 +127,12 @@ def comparison_suite(
     Fields are compared on the lower run's physical points via cubic
     interpolation of the upper run; fronts compare at every accepted
     step (fixed-dt configs keep the two runs in lockstep).  A margin
-    passes down to -ORDER_TOL.
+    passes down to -ORDER_TOL.  This check imports ``scipy.interpolate``
+    when it runs; no other path of the program loads it.
     """
+    # slow to import (it pulls in scipy.optimize, special and sparse), and only this check needs it
+    from scipy.interpolate import CubicSpline
+
     traj_lo = simulate(spec, init_lo, cfg)
     traj_hi = simulate(spec, init_hi, cfg)
     n = min(len(traj_lo.t), len(traj_hi.t))

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -386,14 +389,20 @@ def test_constant_is_not_a_config_key(tmp_path, capsys, setting):
     assert re.match(r"config error: line \d+: unknown key", capsys.readouterr().err)
 
 
-def test_init_file_loads_samples(tmp_path):
-    # a tent on the default initial interval [-2, 2], which no cosine bump matches
+def _tent_cfg(tmp_path):
+    """A FAST_CFG config whose [init] file is a 9-sample tent on [-2, 2], which no cosine bump matches;
+    returns (config path, samples file, x, U, V)."""
     x = np.linspace(-2.0, 2.0, 9)
     U, V = 0.05 * (2.0 - np.abs(x)), 2.0 - np.abs(x)
     samples = tmp_path / "init.csv"
     np.savetxt(samples, np.column_stack([x, U, V]), delimiter=",", header="x,U,V", comments="")
     cfg_path = tmp_path / "sampled.cfg"
     cfg_path.write_text(FAST_CFG + f"[init]\nfile = {samples}\n", encoding="utf-8")
+    return cfg_path, samples, x, U, V
+
+
+def test_init_file_loads_samples(tmp_path):
+    cfg_path, _, x, U, V = _tent_cfg(tmp_path)
     init = load_config(cfg_path).initial_data()
     assert init.is_sampled
     np.testing.assert_array_equal(init.u0(x, 2.0), U)
@@ -406,17 +415,31 @@ def test_init_file_loads_samples(tmp_path):
 
 
 def test_init_file_is_read_once_per_run(tmp_path, monkeypatch):
-    x = np.linspace(-2.0, 2.0, 9)
-    samples = tmp_path / "init.csv"
-    np.savetxt(samples, np.column_stack([x, 0.05 * (2.0 - np.abs(x)), 2.0 - np.abs(x)]),
-               delimiter=",", header="x,U,V", comments="")
-    cfg_path = tmp_path / "sampled.cfg"
-    cfg_path.write_text(FAST_CFG + f"[init]\nfile = {samples}\n", encoding="utf-8")
+    cfg_path, samples, *_ = _tent_cfg(tmp_path)
     reads = []
     genfromtxt = np.genfromtxt
     monkeypatch.setattr(np, "genfromtxt", lambda *a, **k: reads.append(a[0]) or genfromtxt(*a, **k))
     assert cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "simulate"]) == EXIT_OK
     assert reads == [str(samples)]
+
+
+@pytest.mark.parametrize("argv, h0", [
+    (["reproduce-paper"], "1"),  # the battery's first h0 is 2, its second 1
+    (["classify", "--h0", "0.6"], "0.6"),
+    (["find-mustar", "--h0", "0.6"], "0.6"),
+], ids=["reproduce-paper", "classify", "find-mustar"])
+def test_sampled_start_at_another_h0_fails_before_the_lstar_search(tmp_path, monkeypatch, capsys, argv, h0):
+    # the tent vanishes at +-2 only, and each command would search for L* before it runs that h0
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("searched for L* although the start cannot run")
+
+    monkeypatch.setattr(cli, "find_L_star", must_not_run)
+    cfg_path, *_ = _tent_cfg(tmp_path)
+    out = tmp_path / "o"
+    assert cli_main(["--config", str(cfg_path), "--out", str(out), *argv]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"invalid input: initial profiles must vanish at the fronts x = +-h0 (h0={h0})\n")
+    assert not out.exists()
 
 
 def test_horizon_just_above_time_tol_writes_each_landed_state_once(tmp_path, monkeypatch):
@@ -432,6 +455,37 @@ def test_horizon_just_above_time_tol_writes_each_landed_state_once(tmp_path, mon
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# run in a fresh interpreter: print which slow scipy subpackages the run has loaded
+_LOADED_CHILD = """
+import sys
+{run}
+print(",".join(m for m in ("scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.special")
+               if m in sys.modules))
+"""
+
+
+def _scipy_loaded_by(run: str) -> set:
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_CHILD.format(run=run)],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    return set(filter(None, proc.stdout.splitlines()[-1].split(",")))
+
+
+def test_commands_but_verify_load_no_slow_scipy(tmp_path):
+    # scipy.interpolate alone takes about 0.3 s to import, with optimize, special and sparse
+    run = ("from wnvfront.cli import cli_main\n"
+           f"assert cli_main(['--out', {str(tmp_path)!r}, 'simulate', '--t-end', '1', '--grid', '32']) == 0")
+    assert _scipy_loaded_by(run) == set()
+
+
+def test_comparison_check_loads_scipy_interpolate():
+    run = ("import wnvfront as w\n"
+           "from wnvfront.verify import comparison_suite\n"
+           "cfg = w.SolverConfig(J=16, dt_min=0.1, dt_max=0.1, t_end=0.5, output_times=(0.5,))\n"
+           "report = comparison_suite(w.ModelSpec(), w.InitialData(), w.InitialData(amp_U=0.2), cfg)\n"
+           "assert report['passed']")
+    assert "scipy.interpolate" in _scipy_loaded_by(run)
 
 
 def test_readme_cli_examples_parse():

@@ -136,6 +136,16 @@ def test_trajectory_plots_written(short_traj, tmp_path):
     assert M.shape == (len(short_traj.snapshots), len(xg))
 
 
+def test_heatmap_draws_each_landed_state_once(ref_spec):
+    # simulate --t-end 5e-9: of its seven output times, 0 and 5e-9/6 land on the start state
+    # and the others in pairs, so seven snapshots hold four states
+    cfg = SolverConfig(J=32, t_end=5e-9, output_times=tuple(np.linspace(0.0, 5e-9, 7)))
+    traj = w.simulate(ref_spec, w.InitialData(), cfg)
+    assert len(traj.snapshots) == 7
+    M, xg = trajectory_heatmap_matrix(traj)
+    assert M.shape == (4, len(xg))
+
+
 def test_sweep_plot_empty_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_sweep_plot([], tmp_path / "s.svg")
